@@ -19,7 +19,7 @@ from .model import (
     synthesize_noise,
     synthesize_signal,
 )
-from .maxima import LocalMaximum, find_local_maxima, local_max_indices
+from .maxima import Candidates, LocalMaximum, find_local_maxima, local_max_indices
 from .nulldist import (
     GaussianModelParams,
     InvalidMomentsError,
@@ -96,6 +96,7 @@ __all__ = [
     "synthesize_dataset",
     "synthesize_noise",
     "synthesize_signal",
+    "Candidates",
     "LocalMaximum",
     "find_local_maxima",
     "local_max_indices",

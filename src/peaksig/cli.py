@@ -24,8 +24,6 @@ from .detector import DetectorConfig, detect
 from .evaluation import SimConfig, run_simulation, standard_design
 from .io import (
     SeriesFormatError,
-    detection_report_dict,
-    file_sha256,
     load_series,
     sim_report_dict,
     write_detection_report,
@@ -250,15 +248,11 @@ def _cmd_detect(args) -> int:
     result = detect(series, config)
     for message in result.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    if args.output:
-        write_detection_report(
-            result, args.output, fmt=args.output_format, input_path=args.input
-        )
-    else:
-        if args.output_format != "json":
-            raise ValueError("csv output requires --output")
-        report = detection_report_dict(result, args.input, file_sha256(args.input))
-        print(json.dumps(report, indent=2))
+    if not args.output and args.output_format != "json":
+        raise ValueError("csv output requires --output")
+    write_detection_report(
+        result, args.output or sys.stdout, fmt=args.output_format, input_path=args.input
+    )
     return 0
 
 

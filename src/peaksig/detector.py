@@ -11,11 +11,12 @@ model, an estimator run on the smoothed data, or explicit values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import mtp
-from .maxima import LocalMaximum, find_local_maxima
+from .maxima import Candidates, LocalMaximum, find_local_maxima
 from .model import NoiseSpec
 from .moments_est import (
     ESTIMATORS,
@@ -76,12 +77,28 @@ class DetectorConfig:
 
 @dataclass(frozen=True, eq=False)
 class DetectionResult:
-    maxima: tuple[LocalMaximum, ...]
+    """Outcome of :func:`detect`.
+
+    ``candidates`` holds every candidate maximum as columns, with the
+    p-value and rejection columns filled; it is the fast path for
+    whole-array work. ``maxima`` gives the same candidates as
+    ``LocalMaximum`` rows, built on first access.
+    """
+
+    candidates: Candidates
     decision: mtp.MtpDecision
     moments_used: SpectralMoments
     boundary_excluded: int
     config: DetectorConfig
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.candidates.p_value is None or self.candidates.rejected is None:
+            raise ValueError("detection candidates need p-value and rejection columns")
+
+    @cached_property
+    def maxima(self) -> tuple[LocalMaximum, ...]:
+        return self.candidates.rows()
 
 
 def _resolve_moments(
@@ -128,18 +145,16 @@ def detect(series: SampledSeries, config: DetectorConfig) -> DetectionResult:
         values = values - values.mean()
     prepared = SampledSeries(values, series.spacing, series.origin)
     smoothed = convolve(prepared, kernel)
-    maxima = find_local_maxima(smoothed)
+    candidates = find_local_maxima(smoothed)
     moments = _resolve_moments(config, smoothed)
-    maxima = assign_pvalues(maxima, moments)
+    candidates = assign_pvalues(candidates, moments)
     decision = _METHODS[config.method](
-        [mx.p_value for mx in maxima], config.alpha, moments=moments
+        candidates.p_value, config.alpha, moments=moments
     )
-    rejected = set(decision.rejected_indices)
-    maxima = tuple(
-        replace(mx, rejected=(i in rejected)) for i, mx in enumerate(maxima)
-    )
+    rejected = np.zeros(len(candidates), dtype=bool)
+    rejected[list(decision.rejected_indices)] = True
     return DetectionResult(
-        maxima=maxima,
+        candidates=replace(candidates, rejected=rejected),
         decision=decision,
         moments_used=moments,
         boundary_excluded=smoothed.boundary,

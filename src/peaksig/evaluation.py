@@ -225,9 +225,8 @@ def _classify_arrays(
 
 def classify(result: DetectionResult, regions: TruthRegions) -> RunCounts:
     """Score a detection result against known truth regions."""
-    times = np.array([mx.time for mx in result.maxima])
-    rejected = np.array([bool(mx.rejected) for mx in result.maxima], dtype=bool)
-    return _classify_arrays(times, rejected, regions)
+    candidates = result.candidates
+    return _classify_arrays(candidates.time, candidates.rejected, regions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Local maxima of sampled series."""
+"""Local maxima of sampled series.
+
+Candidate maxima are kept as columns (:class:`Candidates`): one array
+each for grid index, time, height, p-value and rejection flag. The
+pipeline fills the columns in whole-array steps; :class:`LocalMaximum`
+rows are built only when a caller iterates over the table.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ import numpy as np
 
 from .series import SampledSeries
 
-__all__ = ["LocalMaximum", "find_local_maxima", "local_max_indices"]
+__all__ = ["Candidates", "LocalMaximum", "find_local_maxima", "local_max_indices"]
 
 
 @dataclass(frozen=True)
@@ -21,6 +27,71 @@ class LocalMaximum:
     height: float
     p_value: float | None = None
     rejected: bool | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Candidate maxima as a struct of arrays, in ascending index order.
+
+    ``index`` holds grid indices, ``time`` and ``height`` the matching
+    times and smoothed values. ``p_value`` (float) and ``rejected``
+    (bool) stay None until the pipeline computes them. ``len`` counts
+    the candidates; iterating builds :class:`LocalMaximum` rows on
+    demand.
+    """
+
+    index: np.ndarray
+    time: np.ndarray
+    height: np.ndarray
+    p_value: np.ndarray | None = None
+    rejected: np.ndarray | None = None
+
+    def __post_init__(self):
+        index = np.asarray(self.index, dtype=np.int64)
+        if index.ndim != 1:
+            raise ValueError("candidate indices must form a 1-D array")
+        object.__setattr__(self, "index", index)
+        dtypes = {"time": float, "height": float, "p_value": float, "rejected": bool}
+        for name, dtype in dtypes.items():
+            col = getattr(self, name)
+            if col is None:
+                continue
+            col = np.asarray(col, dtype=dtype)
+            if col.shape != index.shape:
+                raise ValueError(f"candidate column {name!r} must match the indices")
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Candidates":
+        """Columns from ``LocalMaximum`` rows.
+
+        A p-value or rejection column is filled only when every row
+        carries that field.
+        """
+        rows = list(rows)
+        p = [mx.p_value for mx in rows]
+        r = [mx.rejected for mx in rows]
+        return cls(
+            index=np.array([mx.index for mx in rows], dtype=np.int64),
+            time=np.array([mx.time for mx in rows], dtype=float),
+            height=np.array([mx.height for mx in rows], dtype=float),
+            p_value=None if None in p else np.array(p, dtype=float),
+            rejected=None if None in r else np.array(r, dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def rows(self) -> tuple[LocalMaximum, ...]:
+        """All candidates as ``LocalMaximum`` objects."""
+        n = len(self)
+        p = [None] * n if self.p_value is None else self.p_value.tolist()
+        r = [None] * n if self.rejected is None else self.rejected.tolist()
+        columns = (self.index.tolist(), self.time.tolist(), self.height.tolist(), p, r)
+        return tuple(map(LocalMaximum, *columns))
 
 
 def local_max_indices(values: np.ndarray) -> np.ndarray:
@@ -51,8 +122,8 @@ def local_max_indices(values: np.ndarray) -> np.ndarray:
 
 def find_local_maxima(
     series: SampledSeries, excluded_boundary: int | None = None
-) -> list[LocalMaximum]:
-    """List the local maxima of ``series`` in ascending index order.
+) -> Candidates:
+    """Table the local maxima of ``series`` in ascending index order.
 
     Parameters
     ----------
@@ -69,11 +140,8 @@ def find_local_maxima(
     n = len(series)
     lo, hi = excluded_boundary, n - 1 - excluded_boundary
     idx = idx[(idx >= lo) & (idx <= hi)]
-    return [
-        LocalMaximum(
-            index=int(i),
-            time=series.origin + series.spacing * int(i),
-            height=float(series.values[i]),
-        )
-        for i in idx
-    ]
+    return Candidates(
+        index=idx,
+        time=series.origin + series.spacing * idx,
+        height=series.values[idx],
+    )

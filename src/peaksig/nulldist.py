@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .maxima import LocalMaximum
+from .maxima import Candidates, LocalMaximum
 
 __all__ = [
     "InvalidMomentsError",
@@ -228,16 +228,17 @@ def expected_num_maxima(m: SpectralMoments, length: float, u: float | None = Non
 
 
 def assign_pvalues(
-    maxima: list[LocalMaximum], m: SpectralMoments
-) -> list[LocalMaximum]:
-    """Attach ``p_value = F(height)`` to each maximum.
+    maxima: Candidates | list[LocalMaximum], m: SpectralMoments
+) -> Candidates | list[LocalMaximum]:
+    """Fill ``p_value = F(height)`` for every candidate in one call.
 
-    Results are floored at the smallest positive normal float so that
-    downstream procedures always see p in (0, 1].
+    Takes a :class:`Candidates` table and returns a new table with the
+    p-value column set; a list of ``LocalMaximum`` rows gives back a new
+    list of rows. Results are floored at the smallest positive normal
+    float so that downstream procedures always see p in (0, 1].
     """
     m.validate()
-    if not maxima:
-        return []
-    heights = np.array([mx.height for mx in maxima])
-    p = np.maximum(peak_height_right_cdf(m, heights), np.finfo(float).tiny)
-    return [replace(mx, p_value=float(pi)) for mx, pi in zip(maxima, p)]
+    if not isinstance(maxima, Candidates):
+        return list(assign_pvalues(Candidates.from_rows(maxima), m))
+    p = np.maximum(peak_height_right_cdf(m, maxima.height), np.finfo(float).tiny)
+    return replace(maxima, p_value=p)

@@ -76,6 +76,30 @@ class TestLoadSeriesPlain:
         with pytest.raises(ValueError):
             load_series(f, fmt="parquet")
 
+    def test_single_sample(self, tmp_path):
+        f = tmp_path / "x.txt"
+        f.write_text("2.5\n")
+        assert load_series(f).values.tolist() == [2.5]
+
+    def test_accepts_what_float_accepts(self, tmp_path):
+        # Underscored digits defeat np.loadtxt; the line reader takes them.
+        f = tmp_path / "x.txt"
+        f.write_text("1_0\n 2.5 \n-3e-1\n")
+        assert load_series(f).values.tolist() == [10.0, 2.5, -0.3]
+
+    def test_two_numbers_on_a_line_rejected(self, tmp_path):
+        f = tmp_path / "x.txt"
+        f.write_text("1 2\n3 4\n")
+        with pytest.raises(SeriesFormatError, match="line 1: expected one number"):
+            load_series(f)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_names_line(self, tmp_path, bad):
+        f = tmp_path / "x.txt"
+        f.write_text(f"1\n\n2\n{bad}\n3\n")
+        with pytest.raises(SeriesFormatError, match="line 4: non-finite"):
+            load_series(f)
+
 
 class TestLoadSeriesCsv:
     def test_spacing_inferred(self, tmp_path):
@@ -114,6 +138,44 @@ class TestLoadSeriesCsv:
         f = tmp_path / "x.csv"
         f.write_text("3,1\n2,2\n1,3\n")
         with pytest.raises(SeriesFormatError, match="increasing"):
+            load_series(f, fmt="csv")
+
+    def test_quoted_fields_and_blank_lines(self, tmp_path):
+        f = tmp_path / "x.csv"
+        f.write_text('"0.0","1.5"\n\n1.0,2_0\n2.0,3\n')
+        assert load_series(f, fmt="csv").values.tolist() == [1.5, 20.0, 3.0]
+
+    @pytest.mark.parametrize("row", ["2,nan", "2,inf", "2,1e400", "inf,1"])
+    def test_non_finite_names_line(self, tmp_path, row):
+        f = tmp_path / "x.csv"
+        f.write_text(f"0,1\n1,2\n{row}\n3,4\n")
+        with pytest.raises(SeriesFormatError, match="line 3: non-finite"):
+            load_series(f, fmt="csv")
+
+    def test_epoch_timestamps_load(self, tmp_path):
+        # 1 ms steps at t ~ 1.7e9 s: float64 resolution there is ~2.4e-7 s,
+        # far coarser than 1e-6 of the spacing.
+        t0 = 1.7e9 + 0.123
+        times = t0 + 1e-3 * np.arange(2000)
+        values = np.random.default_rng(9).standard_normal(2000)
+        f = tmp_path / "x.csv"
+        f.write_text(
+            "".join(f"{t!r},{v!r}\n" for t, v in zip(times.tolist(), values.tolist()))
+        )
+        s = load_series(f, fmt="csv")
+        assert s.origin == times[0]
+        assert s.spacing == pytest.approx(1e-3, rel=1e-6)
+        assert s.values.tobytes() == values.tobytes()
+
+    def test_epoch_timestamps_with_a_gap_rejected(self, tmp_path):
+        times = 1.7e9 + 1e-3 * np.arange(2000)
+        times[1000:] += 5e-4
+        f = tmp_path / "x.csv"
+        f.write_text("".join(f"{t!r},1.0\n" for t in times.tolist()))
+        with pytest.raises(
+            SeriesFormatError,
+            match=r"not uniformly spaced \(tolerance 1e-6 relative\)",
+        ):
             load_series(f, fmt="csv")
 
 
@@ -272,6 +334,33 @@ class TestCliDetect:
         src = tmp_path / "series.txt"
         src.write_text("1\nbogus\n")
         assert main(["detect", str(src), "--gamma", "3"]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+    def test_non_finite_plain_exit_2(self, tmp_path, capsys, bad):
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        with open(src, "a", encoding="utf-8") as fh:
+            fh.write(f"{bad}\n")
+        assert main(["detect", str(src), "--gamma", "3", "--noise-sigma", "1"]) == 2
+        assert "line 401: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+    def test_non_finite_csv_exit_2(self, tmp_path, capsys, bad):
+        src = tmp_path / "series.csv"
+        src.write_text("".join(f"{i},0.5\n" for i in range(50)) + f"50,{bad}\n")
+        code = main(
+            ["detect", str(src), "--format", "csv", "--gamma", "3", "--noise-sigma", "1"]
+        )
+        assert code == 2
+        assert "line 51: non-finite" in capsys.readouterr().err
+
+    def test_csv_to_stdout_is_usage_error(self, tmp_path):
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        code = main(
+            ["detect", str(src), "--gamma", "3", "--noise-sigma", "1", "--output-format", "csv"]
+        )
+        assert code == 1
 
     def test_degenerate_estimate_exit_3(self, tmp_path):
         src = tmp_path / "series.txt"

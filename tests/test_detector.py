@@ -1,5 +1,7 @@
 """Tests for the end-to-end detection pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from peaksig import (
     SignalSpec,
     SpectralMoments,
     detect,
+    find_local_maxima,
     gaussian_model_moments,
     GaussianModelParams,
     synthesize_dataset,
@@ -54,6 +57,12 @@ class TestDetectBasics:
         assert result.maxima == ()
         assert result.decision.num_tests == 0
         assert result.decision.rejected_indices == ()
+
+    def test_result_needs_complete_candidates(self):
+        result = detect(noise_series(500, seed=1), KNOWN)
+        partial = find_local_maxima(noise_series(500, seed=1))
+        with pytest.raises(ValueError, match="p-value and rejection"):
+            dataclasses.replace(result, candidates=partial)
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 
 from peaksig import (
     DEFAULT_BANDWIDTH_GRID,
+    Candidates,
     FINE_BANDWIDTH_GRID,
     DetectionResult,
     DetectorConfig,
@@ -35,7 +36,7 @@ def fake_result(times, rejected):
         for i, (t, r) in enumerate(zip(times, rejected))
     )
     return DetectionResult(
-        maxima=maxima,
+        candidates=Candidates.from_rows(maxima),
         decision=bonferroni([], 0.05),
         moments_used=SpectralMoments(1.0, 0.5, 1.0),
         boundary_excluded=0,

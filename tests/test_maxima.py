@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from peaksig import SampledSeries, find_local_maxima, local_max_indices
+from peaksig import (
+    Candidates,
+    LocalMaximum,
+    SampledSeries,
+    find_local_maxima,
+    local_max_indices,
+)
 
 
 class TestLocalMaxIndices:
@@ -123,3 +129,30 @@ class TestFindLocalMaxima:
         series = SampledSeries(rng.standard_normal(500))
         idx = [m.index for m in find_local_maxima(series)]
         assert idx == sorted(idx)
+
+
+class TestCandidates:
+    ROWS = [
+        LocalMaximum(index=3, time=1.5, height=2.0, p_value=0.25, rejected=True),
+        LocalMaximum(index=7, time=3.5, height=1.0, p_value=0.5, rejected=False),
+    ]
+
+    def test_rows_roundtrip(self):
+        table = Candidates.from_rows(self.ROWS)
+        assert len(table) == 2
+        assert list(table) == self.ROWS
+        assert table.index.dtype == np.int64 and table.rejected.dtype == bool
+
+    def test_partial_rows_leave_columns_unset(self):
+        rows = [LocalMaximum(index=1, time=1.0, height=0.5)]
+        table = Candidates.from_rows(rows)
+        assert table.p_value is None and table.rejected is None
+        assert list(table) == rows
+
+    def test_empty(self):
+        table = Candidates.from_rows([])
+        assert len(table) == 0 and list(table) == []
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="height"):
+            Candidates(index=[1, 2], time=[1.0, 2.0], height=[1.0])

@@ -8,6 +8,7 @@ import pytest
 from peaksig import (
     GaussianModelParams,
     InvalidMomentsError,
+    Candidates,
     LocalMaximum,
     SpectralMoments,
     assign_pvalues,
@@ -246,6 +247,17 @@ class TestAssignPvalues:
 
     def test_empty(self):
         assert assign_pvalues([], model_moments()) == []
+
+    def test_columns_in_one_call(self):
+        m = model_moments(gamma=1.5)
+        table = Candidates(index=[4, 9], time=[4.0, 9.0], height=[0.0, 1.0])
+        out = assign_pvalues(table, m)
+        assert table.p_value is None
+        assert out.p_value.tolist() == [
+            mx.p_value for mx in assign_pvalues(list(table), m)
+        ]
+        assert out.p_value[0] == pytest.approx(F_AT_ZERO, abs=1e-12)
+        assert out.rejected is None
 
     def test_floor_keeps_p_positive(self):
         m = model_moments(gamma=1.0)
