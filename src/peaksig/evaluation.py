@@ -5,7 +5,9 @@ support of some true peak; rejections in the transition zone (where
 smoothing smears signal beyond the support) count as false. When peak
 supports overlap, credit is assigned by splitting the overlap at its
 midpoint, so the per-peak rejection regions tile the signal region
-with no gaps or double cover.
+with no gaps or double cover. Scoring is counting: ``searchsorted``
+places the interval endpoints among the ascending candidate times, and
+a prefix sum of the rejection mask at those positions counts rejections.
 
 The harness replays the detection pipeline over many noise draws on a
 padded grid (margin ``4 (nu + max gamma)`` samples each side, cropped
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,39 +94,21 @@ class TruthRegions:
 
 
 def _merge_intervals(intervals: np.ndarray) -> np.ndarray:
-    if intervals.shape[0] == 0:
-        return intervals.reshape(0, 2)
-    order = np.argsort(intervals[:, 0], kind="stable")
-    merged = [list(intervals[order[0]])]
-    for lo, hi in intervals[order[1:]]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return np.array(merged)
+    """Union of closed intervals as sorted, disjoint intervals."""
+    iv = intervals[np.argsort(intervals[:, 0], kind="stable")]
+    reach = np.maximum.accumulate(iv[:, 1])
+    first = np.ones(len(iv), dtype=bool)
+    first[1:] = iv[1:, 0] > reach[:-1]
+    last = np.append(first[1:], True)[: len(iv)]
+    return np.column_stack((iv[first, 0], reach[last]))
 
 
 def _complement(intervals: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    out = []
-    cursor = lo
-    for a, b in intervals:
-        if a > cursor:
-            out.append([cursor, a])
-        cursor = max(cursor, b)
-    if cursor < hi:
-        out.append([cursor, hi])
-    return np.array(out).reshape(-1, 2)
-
-
-def _clip_intervals(intervals: list, window: tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    kept = []
-    for a, b in intervals:
-        a, b = max(a, lo), min(b, hi)
-        if a <= b:
-            kept.append([a, b])
-    return np.array(kept).reshape(-1, 2)
+    """Gaps of sorted, disjoint ``intervals`` inside ``window``."""
+    gaps = np.column_stack(
+        (np.append(window[0], intervals[:, 1]), np.append(intervals[:, 0], window[1]))
+    )
+    return gaps[gaps[:, 0] < gaps[:, 1]]
 
 
 def truth_regions(
@@ -135,8 +119,8 @@ def truth_regions(
 ) -> TruthRegions:
     """Build the truth regions for ``signal`` smoothed at ``gamma``.
 
-    ``gamma`` may be 0 (no expansion). Peaks whose support misses the
-    window entirely are dropped.
+    ``gamma`` may be 0 (no expansion). Peaks whose rejection region
+    misses the window are dropped.
     """
     if not (np.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be >= 0")
@@ -147,17 +131,24 @@ def truth_regions(
     half = signal.support_half_width
     spill = half + kernel_truncation * gamma
     taus = np.sort(np.array([tau for _, tau in signal.peaks], dtype=float))
-    supports = _clip_intervals([[t - half, t + half] for t in taus], window)
-    expanded = _clip_intervals([[t - spill, t + spill] for t in taus], window)
-    signal_region = _merge_intervals(supports.copy())
-    signal_expanded = _merge_intervals(expanded.copy())
+
+    def clipped(a, b):
+        return np.column_stack((np.maximum(a, lo), np.minimum(b, hi)))
+
+    expanded = clipped(taus - spill, taus + spill)
+    expanded = expanded[expanded[:, 0] <= expanded[:, 1]]
     # Per-peak credit: clip each support at the midpoints to its neighbors.
-    rejection = []
-    for j, t in enumerate(taus):
-        a = t - half if j == 0 else max(t - half, 0.5 * (taus[j - 1] + t))
-        b = t + half if j == len(taus) - 1 else min(t + half, 0.5 * (t + taus[j + 1]))
-        rejection.append([a, b])
-    rejection = _clip_intervals(rejection, window)
+    # A peak stays, with one row in both per-peak arrays, while its credit
+    # meets the window.
+    mids = 0.5 * (taus[:-1] + taus[1:])
+    credit = clipped(
+        np.maximum(taus - half, np.append(-np.inf, mids)),
+        np.minimum(taus + half, np.append(mids, np.inf)),
+    )
+    keep = credit[:, 0] <= credit[:, 1]
+    rejection, supports = credit[keep], clipped(taus - half, taus + half)[keep]
+    signal_region = _merge_intervals(supports)
+    signal_expanded = _merge_intervals(expanded)
     return TruthRegions(
         window=window,
         signal_region=signal_region,
@@ -188,45 +179,61 @@ class RunCounts:
     num_peaks: int
 
 
-def _in_union(times: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-    hit = np.zeros(times.size, dtype=bool)
-    for a, b in intervals:
-        hit |= (times >= a) & (times <= b)
-    return hit
+def _endpoints(regions: TruthRegions) -> np.ndarray:
+    """Starts (row 0) and ends (row 1) of the signal region's intervals,
+    then of the per-peak rejection regions, then of the per-peak supports."""
+    rows = (regions.signal_region, regions.rejection_regions, regions.peak_supports)
+    return np.ascontiguousarray(np.concatenate(rows).T)
+
+
+def _positions(times: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lo, hi`` such that closed interval ``[ends[0, j], ends[1, j]]``
+    holds ``times[lo[j]:hi[j]]`` of the ascending ``times``."""
+    lo = np.searchsorted(times, ends[0], "left")
+    return lo, np.searchsorted(times, ends[1], "right")
+
+
+def _tally(lo: np.ndarray, hi: np.ndarray, rejected, regions: TruthRegions) -> RunCounts:
+    """Counts from the :func:`_positions` of ``regions``' endpoints: each
+    interval holds ``hi - lo`` candidates, ``total[hi] - total[lo]`` rejections."""
+    total = np.concatenate(([0], np.cumsum(rejected)))
+    inside = hi - lo
+    found = total[hi] - total[lo]
+    k = regions.signal_region.shape[0]
+    p = regions.num_peaks
+    num_signal = int(inside[:k].sum())
+    r = int(total[-1])
+    w = int(found[:k].sum())
+    return RunCounts(
+        false_rejections=r - w,
+        true_rejections=w,
+        rejections=r,
+        detected_peaks=int(np.count_nonzero(found[k : k + p])),
+        num_tests=len(rejected),
+        num_null_tests=len(rejected) - num_signal,
+        num_signal_tests=num_signal,
+        multi_max_peaks=int(np.count_nonzero(inside[k + p :] > 1)),
+        num_peaks=p,
+    )
 
 
 def _classify_arrays(
     times: np.ndarray, rejected: np.ndarray, regions: TruthRegions
 ) -> RunCounts:
-    in_signal = _in_union(times, regions.signal_region)
-    num_signal = int(np.count_nonzero(in_signal))
-    r = int(np.count_nonzero(rejected))
-    w = int(np.count_nonzero(rejected & in_signal))
-    detected = 0
-    multi = 0
-    for (a, b), (sa, sb) in zip(regions.rejection_regions, regions.peak_supports):
-        inside = (times >= a) & (times <= b)
-        if np.any(inside & rejected):
-            detected += 1
-        if np.count_nonzero((times >= sa) & (times <= sb)) > 1:
-            multi += 1
-    return RunCounts(
-        false_rejections=r - w,
-        true_rejections=w,
-        rejections=r,
-        detected_peaks=detected,
-        num_tests=int(times.size),
-        num_null_tests=int(times.size) - num_signal,
-        num_signal_tests=num_signal,
-        multi_max_peaks=multi,
-        num_peaks=regions.num_peaks,
-    )
+    """Score candidates whose ``times`` ascend."""
+    return _tally(*_positions(times, _endpoints(regions)), rejected, regions)
 
 
 def classify(result: DetectionResult, regions: TruthRegions) -> RunCounts:
-    """Score a detection result against known truth regions."""
-    candidates = result.candidates
-    return _classify_arrays(candidates.time, candidates.rejected, regions)
+    """Score a detection result against known truth regions.
+
+    Candidates may come in any order; counting needs them sorted by time.
+    """
+    times, rejected = result.candidates.time, result.candidates.rejected
+    if np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        times, rejected = times[order], rejected[order]
+    return _classify_arrays(times, rejected, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +338,14 @@ def _sim_context(config: SimConfig):
         truth_regions(config.signal, g, config.kernel_truncation, window)
         for g in config.gammas
     ]
-    return margin, padded, signal_values, kernels, moments, regions
+    ends = [_endpoints(r) for r in regions]
+    return margin, padded, signal_values, kernels, moments, regions, ends
 
 
 def _run_block(task):
     """Replications [start, stop) of one study; returns per-rep arrays."""
     config, start, stop = task
-    margin, padded, signal_values, kernels, moments, regions = _sim_context(config)
+    margin, padded, signal_values, kernels, moments, regions, ends = _sim_context(config)
     grid = config.grid
     delta = grid.spacing
     length = grid.length
@@ -354,34 +362,25 @@ def _run_block(task):
         noise_values = synthesize_noise(config.noise, padded, seed).values
         raw = signal_values + noise_values
         for gi in range(num_g):
-            smoothed = (
-                np.convolve(raw, kernels[gi].weights, mode="same")[
-                    margin : margin + length
-                ]
-                * delta
-            )
+            full = np.convolve(raw, kernels[gi].weights, mode="same")
+            smoothed = full[margin : margin + length] * delta
             idx = local_max_indices(smoothed)
             times = grid.origin + delta * idx
-            p = np.maximum(
-                peak_height_right_cdf(moments[gi], smoothed[idx]), tiny
-            )
+            p = np.maximum(peak_height_right_cdf(moments[gi], smoothed[idx]), tiny)
+            # Candidate times ascend; their interval positions serve every method.
+            lo, hi = _positions(times, ends[gi])
             for mi, method in enumerate(methods):
                 decision = _METHODS[method](p, config.alpha)
                 mask = np.zeros(idx.size, dtype=bool)
-                if decision.rejected_indices:
-                    mask[list(decision.rejected_indices)] = True
-                rc = _classify_arrays(times, mask, regions[gi])
+                mask[list(decision.rejected_indices)] = True
+                rc = _tally(lo, hi, mask, regions[gi])
                 any_false[row, gi, mi] = 1.0 if rc.false_rejections > 0 else 0.0
                 fdp[row, gi, mi] = rc.false_rejections / max(rc.rejections, 1)
                 power[row, gi, mi] = rc.detected_peaks / max(rc.num_peaks, 1)
                 counts[row, gi, mi] = (
-                    rc.num_tests,
-                    rc.rejections,
-                    rc.false_rejections,
-                    rc.true_rejections,
+                    rc.num_tests, rc.rejections, rc.false_rejections, rc.true_rejections
                 )
-            rc0 = _classify_arrays(times, np.zeros(idx.size, bool), regions[gi])
-            multi[row, gi] = rc0.multi_max_peaks / max(rc0.num_peaks, 1)
+            multi[row, gi] = rc.multi_max_peaks / max(rc.num_peaks, 1)
     return any_false, fdp, power, multi, counts
 
 

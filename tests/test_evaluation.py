@@ -72,6 +72,26 @@ class TestTruthRegions:
         r = truth_regions(spec, gamma=1.0, window=(0.0, 100.0))
         assert r.num_peaks == 1
 
+    def test_per_peak_rows_stay_aligned_when_credit_leaves_window(self):
+        # Peak -5's support [-11, 1] meets the window, but its credit
+        # [-11, -4] (split at the midpoint to peak -3) does not: the peak
+        # drops from both per-peak arrays.
+        spec = SignalSpec(
+            peaks=((1.0, -5.0), (1.0, -3.0), (1.0, 50.0)),
+            peak_scale=3.0,
+            peak_truncation=2.0,
+        )
+        r = truth_regions(spec, gamma=0.0, window=(0.0, 100.0))
+        assert r.num_peaks == 2
+        assert r.rejection_regions.tolist() == [[0.0, 3.0], [44.0, 56.0]]
+        assert r.peak_supports.tolist() == [[0.0, 3.0], [44.0, 56.0]]
+        assert r.signal_region.tolist() == [[0.0, 3.0], [44.0, 56.0]]
+        # Two candidates on peak 50 count as that peak's multiple maxima.
+        rc = classify(fake_result([45.0, 50.0], [False, False]), r)
+        assert rc.multi_max_peaks == 1
+        rc = classify(fake_result([0.5, 2.5], [True, False]), r)
+        assert (rc.multi_max_peaks, rc.detected_peaks, rc.true_rejections) == (1, 1, 1)
+
     def test_unsorted_peaks_handled(self):
         spec = SignalSpec(peaks=((1.0, 70.0), (1.0, 30.0)), peak_scale=3.0)
         r = truth_regions(spec, gamma=0.0, window=(0.0, 100.0))

@@ -4,14 +4,16 @@
 seeded runs check the candidate columns of ``detect`` against the
 per-candidate definition they replace: one ``LocalMaximum`` per maximum,
 its p-value from the scalar height cdf, its flag from the decision's
-rejected indices.
+rejected indices. Truth accounting is checked against a per-peak loop
+over the intervals, and the height cdf and the smoother against their
+defining properties.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from peaksig import (
@@ -20,6 +22,7 @@ from peaksig import (
     DetectorConfig,
     Grid,
     LocalMaximum,
+    RunCounts,
     NoiseSpec,
     SampledSeries,
     SignalSpec,
@@ -31,11 +34,13 @@ from peaksig import (
     local_max_indices,
     make_gaussian_kernel,
     peak_height_right_cdf,
+    peak_height_right_cdf_inverse,
     synthesize_dataset,
     truth_regions,
 )
 from peaksig.evaluation import _classify_arrays
 from peaksig.io import _read_plain_lines
+from peaksig.nulldist import SpectralMoments
 
 # Small integer levels make plateaus and ties common.
 levels = st.lists(st.integers(-3, 3), min_size=3, max_size=60)
@@ -146,11 +151,49 @@ def with_candidates(result, candidates: Candidates) -> DetectionResult:
     return dataclasses.replace(result, candidates=candidates)
 
 
+def in_union(times: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    hit = np.zeros(times.size, dtype=bool)
+    for a, b in intervals:
+        hit |= (times >= a) & (times <= b)
+    return hit
+
+
+def classify_reference(times, rejected, regions) -> RunCounts:
+    """Truth accounting by definition: one mask per interval, one loop
+    over the peaks; candidates in any order."""
+    times = np.asarray(times, dtype=float)
+    rejected = np.asarray(rejected, dtype=bool)
+    in_signal = in_union(times, regions.signal_region)
+    num_signal = int(np.count_nonzero(in_signal))
+    r = int(np.count_nonzero(rejected))
+    w = int(np.count_nonzero(rejected & in_signal))
+    detected = 0
+    multi = 0
+    assert regions.rejection_regions.shape == regions.peak_supports.shape
+    for (a, b), (sa, sb) in zip(regions.rejection_regions, regions.peak_supports):
+        inside = (times >= a) & (times <= b)
+        if np.any(inside & rejected):
+            detected += 1
+        if np.count_nonzero((times >= sa) & (times <= sb)) > 1:
+            multi += 1
+    return RunCounts(
+        false_rejections=r - w,
+        true_rejections=w,
+        rejections=r,
+        detected_peaks=detected,
+        num_tests=int(times.size),
+        num_null_tests=int(times.size) - num_signal,
+        num_signal_tests=num_signal,
+        multi_max_peaks=multi,
+        num_peaks=regions.num_peaks,
+    )
+
+
 def classify_rows(rows, regions):
     """``classify`` as it read ``LocalMaximum`` rows."""
     times = np.array([mx.time for mx in rows])
     rejected = np.array([bool(mx.rejected) for mx in rows], dtype=bool)
-    return _classify_arrays(times, rejected, regions)
+    return classify_reference(times, rejected, regions)
 
 
 REGIONS = truth_regions(SIGNAL, 3.0, window=(0.0, 1199.0))
@@ -182,3 +225,85 @@ def test_classify_columns_equals_rows_on_arbitrary_candidates(pairs):
         rejected=[r for _, r in pairs],
     )
     assert classify(with_candidates(BASE, columns), REGIONS) == classify_rows(rows, REGIONS)
+
+
+# Layouts on a (0, 60) window with centers off both ends, so that
+# supports overlap, peaks are clipped and some drop out; integer centers
+# put credit midpoints on the half-integer grid the times also use.
+layouts = st.tuples(
+    st.lists(st.integers(-12, 72), max_size=6),
+    st.sampled_from([1.0, 2.5, 3.0]),
+    st.sampled_from([0.0, 1.5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts, st.data())
+def test_classify_matches_per_peak_loop(layout, data):
+    taus, scale, gamma = layout
+    spec = SignalSpec(peaks=tuple((1.0, float(t)) for t in taus), peak_scale=scale)
+    regions = truth_regions(spec, gamma, window=(0.0, 60.0))
+    assert regions.rejection_regions.shape == regions.peak_supports.shape
+    per_peak = (regions.rejection_regions, regions.peak_supports)
+    endpoints = sorted({float(v) for arr in per_peak for v in arr.flat})
+    # Times on interval endpoints and credit midpoints, on the half grid, or anywhere.
+    time = st.one_of(
+        st.sampled_from(endpoints or [0.0]),
+        st.integers(-10, 140).map(lambda k: 0.5 * k),
+        st.floats(-5.0, 65.0),
+    )
+    pairs = data.draw(st.lists(st.tuples(time, st.booleans()), max_size=25))
+    want = classify_reference([t for t, _ in pairs], [r for _, r in pairs], regions)
+    ordered = sorted(pairs, key=lambda pair: pair[0])
+    times = np.array([t for t, _ in ordered], dtype=float)
+    rejected = np.array([r for _, r in ordered], dtype=bool)
+    assert _classify_arrays(times, rejected, regions) == want
+    # Unsorted candidates through the public entry point.
+    rows = [
+        LocalMaximum(index=k, time=t, height=0.0, p_value=0.5, rejected=r)
+        for k, (t, r) in enumerate(pairs)
+    ]
+    assert classify(with_candidates(BASE, Candidates.from_rows(rows)), regions) == want
+
+
+# Moments at scale sigma (height) and ell (time), with irregularity
+# kappa = lambda4 sigma2 / lambda2^2 > 1, over several decades of both.
+moment_scales = st.tuples(
+    st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    st.floats(1.1, 50.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_scales, st.floats(-2.0, 5.0))
+def test_height_cdf_inverse_round_trip(scales, z):
+    sigma, ell, kappa = scales
+    m = SpectralMoments(sigma**2, sigma**2 / ell**2, kappa * sigma**2 / ell**4)
+    u = z * sigma
+    p = peak_height_right_cdf(m, u)
+    # The inverse stops at |F(u) - p| <= 1e-12, so it pins u only where
+    # p is well away from 0 and 1.
+    assume(1e-6 < p < 1.0 - 1e-6)
+    assert abs(peak_height_right_cdf_inverse(m, p) - u) <= 1e-6 * sigma
+
+
+# Constant levels: zero, or normal magnitudes of either sign over 12 decades.
+magnitudes = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+levels_12 = st.just(0.0) | magnitudes | magnitudes.map(lambda v: -v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    levels_12,
+    st.floats(0.05, 20.0),
+    st.floats(0.1, 40.0),
+    st.floats(1.0, 5.0),
+    st.integers(0, 300),
+)
+def test_convolve_reproduces_constants(level, spacing, gamma_in_steps, truncation, extra):
+    kernel = make_gaussian_kernel(gamma_in_steps * spacing, truncation, spacing)
+    n = kernel.weights.size + extra
+    out = convolve(SampledSeries(np.full(n, level), spacing, -3.0), kernel)
+    assert len(out) == n and out.boundary == kernel.half_width
+    np.testing.assert_allclose(out.values, level, rtol=1e-12, atol=0.0)
