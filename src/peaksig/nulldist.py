@@ -165,8 +165,11 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
 
     The bracket starts at [0, sigma] (or its mirror for ``p`` above
     ``F(0)``) and doubles until it contains the root; bisection then
-    runs to ``|F(u) - p| <= 1e-12`` or 200 iterations. Comparisons are
-    done on log F, so thresholds deep in the tail do not underflow.
+    runs until both ``|F(u) - p| <= 1e-12`` and
+    ``|log F(u) - log p| <= 1e-6`` hold, or for 200 iterations. The
+    relative stop pins tail quantiles, where ``p`` itself is below the
+    absolute one. Comparisons are done on log F, so thresholds deep in
+    the tail do not underflow.
     """
     m.validate()
     if not (np.isfinite(p) and 0.0 < p < 1.0):
@@ -193,7 +196,7 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         log_f = _log_right_cdf(m, mid)
-        if abs(math.exp(log_f) - p) <= 1e-12:
+        if abs(math.exp(log_f) - p) <= 1e-12 and abs(log_f - log_p) <= 1e-6:
             return mid
         if log_f >= log_p:
             lo = mid

@@ -2,9 +2,11 @@
 
 Kernels are truncated Gaussian densities sampled on the grid and
 renormalized so that the discrete convolution has unit action on
-constants. Interior samples receive the exact discrete convolution;
-near the edges the kernel is renormalized over the in-range part and
-the output is flagged with the affected half-width.
+constants. Interior samples receive the discrete convolution, exact
+for narrow kernels; wide ones go through an overlap-add FFT, within
+~1e-15 relative, that keeps the exact ties of constant windows. Near
+the edges the kernel is renormalized over the in-range part and the
+output is flagged with the affected half-width.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ __all__ = ["Kernel", "make_gaussian_kernel", "convolve", "DEFAULT_KERNEL_TRUNCAT
 
 # Half-support of the smoothing kernel in units of its bandwidth.
 DEFAULT_KERNEL_TRUNCATION = 4.0
+
+# Kernels with at least this many taps are applied by overlap-add FFT.
+# On 1e6 samples (2-vCPU Xeon KVM guest, numpy 2.4) np.convolve and the
+# FFT cost the same at ~85 taps (~7 ms); at 801 taps the FFT is ~6x faster.
+_FFT_MIN_TAPS = 100
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -94,22 +101,61 @@ def make_gaussian_kernel(
 def convolve(series: SampledSeries, kernel: Kernel) -> SampledSeries:
     """Smooth ``series`` with ``kernel``, preserving length.
 
-    Interior points get the exact discrete convolution
-    ``sum_k w_k y[i-k] * spacing``. Within ``kernel.half_width`` of
-    either end the kernel is renormalized over its in-range portion,
-    so constants are reproduced everywhere. The output ``boundary``
-    field records the half-width so maxima searches can skip the zone.
+    Interior points get the discrete convolution
+    ``sum_k w_k y[i-k] * spacing``: exact for kernels narrower than
+    ``_FFT_MIN_TAPS`` taps; for wider ones an overlap-add FFT within
+    ~1e-15 of ``max |y|``, which keeps the exact ties of windows that
+    see one constant value. Within ``kernel.half_width`` of either end
+    the kernel is renormalized over its in-range portion, so constants
+    are reproduced everywhere. The output ``boundary`` field records
+    the half-width so maxima searches can skip the zone.
     """
     if abs(kernel.spacing - series.spacing) > 1e-12 * kernel.spacing:
         raise ValueError("kernel and series spacing differ")
     n = len(series)
-    if n < kernel.weights.size:
+    w = kernel.weights
+    if n < w.size:
         raise ValueError("series shorter than kernel support")
-    numer = np.convolve(series.values, kernel.weights, mode="same")
-    denom = np.convolve(np.ones(n), kernel.weights, mode="same")
+    h = kernel.half_width
+    x = series.values
+    fft = w.size >= _FFT_MIN_TAPS
+    numer = _overlap_add(x, w) if fft else np.convolve(x, w, mode="same")
+    # Only the 2 * h edge samples see a partial kernel; their in-range
+    # mass comes from a short series, whose middle sample holds the
+    # full-window sum the interior is divided by.
+    m = min(n, 4 * h + 1)
+    mass = np.convolve(np.ones(m), w, mode="same")
+    values = numer / mass[m // 2]
+    values[:h] = numer[:h] / mass[:h]
+    values[n - h :] = numer[n - h :] / mass[m - h :]
+    if fft:
+        # FFT rounding breaks the ties a direct sum gives wherever the
+        # whole window sees one value (clipped or zero-filled stretches),
+        # which would split a plateau into spurious maxima.
+        changes = np.zeros(n, dtype=np.int64)
+        np.cumsum(x[1:] != x[:-1], out=changes[1:])
+        flat = np.flatnonzero(changes[2 * h :] == changes[: n - 2 * h]) + h
+        values[flat] = x[flat]
     return SampledSeries(
-        values=numer / denom,
+        values=values,
         spacing=series.spacing,
         origin=series.origin,
-        boundary=kernel.half_width,
+        boundary=h,
     )
+
+
+def _overlap_add(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.convolve(x, w, "same")`` by overlap-add FFT over blocks."""
+    taps = w.size
+    nfft = 1 << (8 * taps - 1).bit_length()
+    step = nfft - taps + 1
+    blocks = -(-x.size // step)
+    padded = np.zeros(blocks * step)
+    padded[: x.size] = x
+    spectra = np.fft.rfft(padded.reshape(blocks, step), nfft) * np.fft.rfft(w, nfft)
+    pieces = np.fft.irfft(spectra, nfft)
+    full = np.zeros((blocks + 1, step))
+    full[:blocks] = pieces[:, :step]
+    full[1:, : taps - 1] += pieces[:, step:]
+    h = taps // 2
+    return full.ravel()[h : h + x.size]

@@ -186,6 +186,14 @@ class TestInverse:
         assert u > 6.0 * math.sqrt(m.sigma2)
         assert math.isfinite(u)
 
+    def test_far_tail_quantile(self):
+        # F(3) ~ 9.5e-22 at gamma 3, far below the 1e-12 absolute stop:
+        # the log-space stop must still pin the height.
+        m = model_moments(gamma=3.0)
+        p = peak_height_right_cdf(m, 3.0)
+        assert p < 1e-20
+        assert peak_height_right_cdf_inverse(m, p) == pytest.approx(3.0, abs=1e-6)
+
     def test_monotone_in_p(self):
         m = model_moments(gamma=2.0)
         us = [peak_height_right_cdf_inverse(m, p) for p in (0.9, 0.5, 0.1, 1e-4)]

@@ -6,7 +6,8 @@ per-candidate definition they replace: one ``LocalMaximum`` per maximum,
 its p-value from the scalar height cdf, its flag from the decision's
 rejected indices. Truth accounting is checked against a per-peak loop
 over the intervals, and the height cdf and the smoother against their
-defining properties.
+defining properties; the smoother is also checked against its
+two-convolution definition.
 """
 
 import dataclasses
@@ -41,6 +42,7 @@ from peaksig import (
 from peaksig.evaluation import _classify_arrays
 from peaksig.io import _read_plain_lines
 from peaksig.nulldist import SpectralMoments
+from peaksig.smoothing import _FFT_MIN_TAPS
 
 # Small integer levels make plateaus and ties common.
 levels = st.lists(st.integers(-3, 3), min_size=3, max_size=60)
@@ -276,15 +278,16 @@ moment_scales = st.tuples(
 
 
 @settings(max_examples=200, deadline=None)
-@given(moment_scales, st.floats(-2.0, 5.0))
+@given(moment_scales, st.floats(-2.0, 30.0))
 def test_height_cdf_inverse_round_trip(scales, z):
     sigma, ell, kappa = scales
     m = SpectralMoments(sigma**2, sigma**2 / ell**2, kappa * sigma**2 / ell**4)
     u = z * sigma
     p = peak_height_right_cdf(m, u)
-    # The inverse stops at |F(u) - p| <= 1e-12, so it pins u only where
-    # p is well away from 0 and 1.
-    assume(1e-6 < p < 1.0 - 1e-6)
+    # The inverse stops on |F(u) - p| <= 1e-12 and a 1e-6 log-space gap,
+    # which pins u down to tail p-values of ~1e-196 (z = 30); near
+    # p = 1 the cdf is too flat for the absolute stop to pin it.
+    assume(p < 1.0 - 1e-6)
     assert abs(peak_height_right_cdf_inverse(m, p) - u) <= 1e-6 * sigma
 
 
@@ -307,3 +310,90 @@ def test_convolve_reproduces_constants(level, spacing, gamma_in_steps, truncatio
     out = convolve(SampledSeries(np.full(n, level), spacing, -3.0), kernel)
     assert len(out) == n and out.boundary == kernel.half_width
     np.testing.assert_allclose(out.values, level, rtol=1e-12, atol=0.0)
+
+
+def convolve_reference(values: np.ndarray, kernel) -> np.ndarray:
+    """The smoother by definition: full-length direct convolution over
+    the in-range kernel mass at every sample."""
+    numer = np.convolve(values, kernel.weights, mode="same")
+    denom = np.convolve(np.ones(values.size), kernel.weights, mode="same")
+    return numer / denom
+
+
+def kernel_with_half_width(half: int, truncation: float, spacing: float):
+    # Half a step past ``half``, so the floor in make_gaussian_kernel lands on it.
+    return make_gaussian_kernel((half + 0.5) * spacing / truncation, truncation, spacing)
+
+
+truncations = st.floats(1.0, 5.0)
+spacings = st.floats(0.05, 20.0)
+scaled_noise = st.tuples(st.integers(0, 2**32 - 1), magnitudes, levels_12)
+
+
+def noise(n: int, params) -> np.ndarray:
+    seed, scale, offset = params
+    return offset + scale * np.random.default_rng(seed).standard_normal(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, (_FFT_MIN_TAPS - 2) // 2),
+    truncations,
+    spacings,
+    st.integers(0, 400),
+    scaled_noise,
+)
+def test_convolve_direct_path_matches_definition_bitwise(
+    half, truncation, spacing, extra, params
+):
+    kernel = kernel_with_half_width(half, truncation, spacing)
+    assert kernel.half_width == half and kernel.weights.size < _FFT_MIN_TAPS
+    x = noise(kernel.weights.size + extra, params)
+    got = convolve(SampledSeries(x, spacing), kernel).values
+    assert got.tobytes() == convolve_reference(x, kernel).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(_FFT_MIN_TAPS // 2, 250),
+    truncations,
+    spacings,
+    scaled_noise,
+    st.data(),
+)
+def test_convolve_fft_path_matches_definition(half, truncation, spacing, params, data):
+    kernel = kernel_with_half_width(half, truncation, spacing)
+    taps = kernel.weights.size
+    assert kernel.half_width == half and taps >= _FFT_MIN_TAPS
+    # The FFT adds up blocks of ``step`` samples; cover one block that
+    # is the kernel itself, a last block of one sample, and several blocks.
+    step = (1 << (8 * taps - 1).bit_length()) - taps + 1
+    n = data.draw(
+        st.sampled_from([taps, step, step + 1, 2 * step + 1, 3 * step + 1])
+        | st.integers(taps, 3 * step + taps)
+    )
+    x = noise(n, params)
+    # Sometimes a constant stretch, which the tie repair sets exactly.
+    start = data.draw(st.integers(0, n - 1))
+    x[start : start + data.draw(st.integers(0, 3 * taps))] = x[start]
+    got = convolve(SampledSeries(x, spacing), kernel).values
+    want = convolve_reference(x, kernel)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_convolve_fft_path_keeps_flat_window_ties():
+    # A clipped stretch and a zero-filled gap, both longer than a kernel
+    # on the FFT path: their smoothed values must tie exactly, as the
+    # direct sum makes them, or each plateau splits into spurious maxima.
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(40_000)
+    x[8_000:12_000] += 10.0
+    x = np.minimum(x, 2.5)
+    x[25_000:25_600] = 0.0
+    kernel = make_gaussian_kernel(30.0)
+    assert kernel.weights.size >= _FFT_MIN_TAPS
+    got = find_local_maxima(convolve(SampledSeries(x), kernel))
+    want = find_local_maxima(
+        SampledSeries(convolve_reference(x, kernel), boundary=kernel.half_width)
+    )
+    assert got.index.tolist() == want.index.tolist()
