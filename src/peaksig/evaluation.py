@@ -357,7 +357,9 @@ def _run_block(task):
     multi = np.zeros((n, num_g))
     counts = np.zeros((n, num_g, num_m, 4))
     tiny = np.finfo(float).tiny
-    for row, rep in enumerate(range(start, stop)):
+    found = [[] for _ in range(num_g)]
+    heights = [[] for _ in range(num_g)]
+    for rep in range(start, stop):
         seed = replication_seed(config.base_seed, rep)
         noise_values = synthesize_noise(config.noise, padded, seed).values
         raw = signal_values + noise_values
@@ -365,8 +367,16 @@ def _run_block(task):
             full = np.convolve(raw, kernels[gi].weights, mode="same")
             smoothed = full[margin : margin + length] * delta
             idx = local_max_indices(smoothed)
+            found[gi].append(idx)
+            heights[gi].append(smoothed[idx])
+    for gi in range(num_g):
+        # One cdf call per bandwidth for the block, split back per replication.
+        p_all = peak_height_right_cdf(moments[gi], np.concatenate(heights[gi]))
+        cuts = np.cumsum([idx.size for idx in found[gi][:-1]])
+        for row, (idx, p) in enumerate(
+            zip(found[gi], np.split(np.maximum(p_all, tiny), cuts))
+        ):
             times = grid.origin + delta * idx
-            p = np.maximum(peak_height_right_cdf(moments[gi], smoothed[idx]), tiny)
             # Candidate times ascend; their interval positions serve every method.
             lo, hi = _positions(times, ends[gi])
             for mi, method in enumerate(methods):

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .nulldist import SpectralMoments
 from .series import SampledSeries
@@ -51,8 +50,8 @@ __all__ = [
 ]
 
 # Gaussian consistency constant: MAD * 1.4826... estimates the standard
-# deviation of a normal sample.
-MAD_SCALE = 1.0 / ndtri(0.75)
+# deviation of a normal sample. Bitwise ``1 / Phi^{-1}(0.75)``.
+MAD_SCALE = 1.482602218505602
 
 
 @dataclass(frozen=True, eq=False)

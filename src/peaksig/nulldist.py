@@ -14,7 +14,8 @@ heavier-tailed than the marginal Gaussian (``F(0) = 1/2 + 1/(2 sqrt 3)``
 when ``lambda2^2 = sigma2 lambda4 / 3``). Heights of observed maxima are
 converted to p-values with this cdf; expected candidate counts follow
 the Rice formula ``E[#maxima on length L] = L / (2 pi) sqrt(lambda4 /
-lambda2)``.
+lambda2)``. ``Phi`` is a port of the Cephes ``ndtr``
+(``peaksig._normal``), bit-identical to ``scipy.special.ndtr``.
 
 For white noise of scale ``sigma`` smoothed with a Gaussian kernel of
 bandwidth ``gamma`` (noise bandwidth ``nu``, combined ``xi =
@@ -31,8 +32,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
+from ._normal import log_ndtr, ndtr
 from .maxima import Candidates, LocalMaximum
 
 __all__ = [
