@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .detector import DetectorConfig, detect
+from .detector import DetectorConfig, detect, estimate_smoothed_moments
 from .evaluation import SimConfig, run_simulation, standard_design
 from .io import (
     SeriesFormatError,
@@ -30,11 +30,7 @@ from .io import (
     write_sim_report,
 )
 from .model import NoiseSpec, SignalSpec
-from .moments_est import (
-    ESTIMATORS,
-    default_acf_lag_window,
-    estimate_moments_acf,
-)
+from .moments_est import ESTIMATORS
 from .nulldist import (
     GaussianModelParams,
     InvalidMomentsError,
@@ -248,8 +244,6 @@ def _cmd_detect(args) -> int:
     result = detect(series, config)
     for message in result.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    if not args.output and args.output_format != "json":
-        raise ValueError("csv output requires --output")
     write_detection_report(
         result, args.output or sys.stdout, fmt=args.output_format, input_path=args.input
     )
@@ -341,8 +335,6 @@ def _cmd_simulate(args) -> int:
     if args.output:
         write_sim_report(report, args.output, fmt=args.output_format)
     else:
-        if args.output_format != "json":
-            raise ValueError("csv output requires --output")
         print(json.dumps(sim_report_dict(report), indent=2))
     return 0
 
@@ -352,25 +344,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.estimator == "acf" and args.lag_window is None and args.gamma is None:
+        raise ValueError("the acf estimator needs --lag-window or --gamma")
     series = load_series(args.input, args.format, args.spacing, args.origin)
-    gamma = args.gamma
-    if gamma is not None:
-        kernel = make_gaussian_kernel(gamma, spacing=series.spacing)
-        series = convolve(series, kernel)
-        series = series.crop(series.boundary, len(series) - series.boundary)
-    if args.estimator == "acf":
-        lag_window = args.lag_window
-        if lag_window is None:
-            if gamma is None:
-                raise ValueError("the acf estimator needs --lag-window or --gamma")
-            lag_window = default_acf_lag_window(gamma, series.spacing)
-        estimate = estimate_moments_acf(series, lag_window)
-    else:
-        estimate = ESTIMATORS[args.estimator](series)
+    if args.gamma is not None:
+        series = convolve(series, make_gaussian_kernel(args.gamma, spacing=series.spacing))
+    estimate = estimate_smoothed_moments(
+        series, args.estimator, args.gamma, args.lag_window
+    )
     payload = {
         "estimator": estimate.method,
-        "gamma": gamma,
-        "num_samples": len(series),
+        "gamma": args.gamma,
+        "num_samples": len(series) - 2 * series.boundary,
         "moments": {
             "sigma2": estimate.moments.sigma2,
             "lambda2": estimate.moments.lambda2,
@@ -461,6 +446,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; fold that into the config-error code
         return 0 if exc.code in (0, None) else 1
     try:
+        # Checked before any work, so a bad combination fails at once.
+        if getattr(args, "output_format", "json") != "json" and not args.output:
+            raise ValueError("csv output requires --output")
         return args.func(args)
     except InvalidMomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)

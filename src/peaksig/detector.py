@@ -20,9 +20,11 @@ from .maxima import Candidates, LocalMaximum, find_local_maxima
 from .model import NoiseSpec
 from .moments_est import (
     ESTIMATORS,
+    MomentEstimate,
     default_acf_lag_window,
     estimate_moments_acf,
 )
+from .mtp import _METHODS
 from .nulldist import (
     GaussianModelParams,
     InvalidMomentsError,
@@ -33,9 +35,7 @@ from .nulldist import (
 from .series import SampledSeries
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, make_gaussian_kernel
 
-__all__ = ["DetectorConfig", "DetectionResult", "detect"]
-
-_METHODS = {"bonferroni": mtp.bonferroni, "bh": mtp.bh}
+__all__ = ["DetectorConfig", "DetectionResult", "detect", "estimate_smoothed_moments"]
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,30 @@ class DetectionResult:
         return self.candidates.rows()
 
 
+def estimate_smoothed_moments(
+    smoothed: SampledSeries,
+    estimator: str,
+    gamma: float | None = None,
+    lag_window: int | None = None,
+) -> MomentEstimate:
+    """Estimate the null moments of a smoothed series with a named estimator.
+
+    Only the interior, outside the ``smoothed.boundary`` zone, is used.
+    The ``acf`` estimator fits ``lag_window`` lags, by default
+    ``default_acf_lag_window(gamma, spacing)`` for smoothing bandwidth
+    ``gamma``. A degenerate estimate is returned, not raised.
+    """
+    b = smoothed.boundary
+    interior = smoothed.crop(b, len(smoothed) - b) if b > 0 else smoothed
+    if estimator != "acf":
+        return ESTIMATORS[estimator](interior)
+    if lag_window is None:
+        if gamma is None:
+            raise ValueError("the acf estimator needs a lag window or a bandwidth")
+        lag_window = default_acf_lag_window(gamma, smoothed.spacing)
+    return estimate_moments_acf(interior, lag_window)
+
+
 def _resolve_moments(
     config: DetectorConfig, smoothed: SampledSeries
 ) -> SpectralMoments:
@@ -111,15 +135,7 @@ def _resolve_moments(
         return gaussian_model_moments(
             GaussianModelParams(sigma=src.sigma, nu=src.nu, gamma=config.gamma)
         )
-    # Estimate from the interior (boundary-unaffected) part of the data.
-    b = smoothed.boundary
-    interior = smoothed.crop(b, len(smoothed) - b) if b > 0 else smoothed
-    if src == "acf":
-        estimate = estimate_moments_acf(
-            interior, default_acf_lag_window(config.gamma, smoothed.spacing)
-        )
-    else:
-        estimate = ESTIMATORS[src](interior)
+    estimate = estimate_smoothed_moments(smoothed, src, config.gamma)
     if estimate.degenerate:
         raise InvalidMomentsError(
             f"moment estimation ({src}) degenerate: {estimate.diagnostics}"

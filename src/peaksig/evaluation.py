@@ -8,13 +8,17 @@ midpoint, so the per-peak rejection regions tile the signal region
 with no gaps or double cover. Scoring is counting: ``searchsorted``
 places the interval endpoints among the ascending candidate times, and
 a prefix sum of the rejection mask at those positions counts rejections.
+The tally works on a block of rows; :func:`classify` is its one-row case.
 
 The harness replays the detection pipeline over many noise draws on a
-padded grid (margin ``4 (nu + max gamma)`` samples each side, cropped
-after smoothing so the analysis window is free of boundary effects)
-and reports familywise error rate, false discovery rate, power, and
-the probability that one true peak carries more than one candidate
-maximum.
+padded grid (margin ``4 (nu + max gamma)`` time units each side, and at
+least the kernel half-width, cropped after smoothing so the analysis
+window is free of boundary effects). It smooths and finds maxima with
+the code of :func:`peaksig.detect`, then computes p-values, decides
+(:func:`peaksig.mtp.reject_rows`) and tallies once per bandwidth for a
+block of replications. The report gives familywise error rate, false
+discovery rate, power, and the probability that one true peak carries
+more than one candidate maximum.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ import numpy as np
 from .detector import DetectionResult
 from .maxima import local_max_indices
 from .model import NoiseSpec, SignalSpec, synthesize_noise, synthesize_signal
-from .mtp import bh, bonferroni
+from .mtp import _METHODS, reject_rows
 from .nulldist import (
     GaussianModelParams,
     gaussian_model_moments,
     peak_height_right_cdf,
 )
-from .series import Grid
-from .smoothing import DEFAULT_KERNEL_TRUNCATION, make_gaussian_kernel
+from .series import Grid, SampledSeries
+from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, make_gaussian_kernel
 
 __all__ = [
     "DEFAULT_BANDWIDTH_GRID",
@@ -53,8 +57,6 @@ __all__ = [
     "optimal_gamma",
     "matched_filter_objective",
 ]
-
-_METHODS = {"bonferroni": bonferroni, "bh": bh}
 
 # Bandwidth grids for the two stock studies: the coarse sweep used by the
 # error/power experiments, and the fine sweep for locating the power optimum.
@@ -186,54 +188,59 @@ def _endpoints(regions: TruthRegions) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(rows).T)
 
 
-def _positions(times: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lo, hi`` such that closed interval ``[ends[0, j], ends[1, j]]``
-    holds ``times[lo[j]:hi[j]]`` of the ascending ``times``."""
-    lo = np.searchsorted(times, ends[0], "left")
-    return lo, np.searchsorted(times, ends[1], "right")
+def _positions(keys: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lo, hi`` such that closed interval ``[ends[0, ...], ends[1, ...]]``
+    holds ``keys[lo:hi]`` of the ascending ``keys``."""
+    lo = np.searchsorted(keys, ends[0], "left")
+    return lo, np.searchsorted(keys, ends[1], "right")
 
 
-def _tally(lo: np.ndarray, hi: np.ndarray, rejected, regions: TruthRegions) -> RunCounts:
-    """Counts from the :func:`_positions` of ``regions``' endpoints: each
-    interval holds ``hi - lo`` candidates, ``total[hi] - total[lo]`` rejections."""
+def _tally(
+    lo: np.ndarray, hi: np.ndarray, rejected, bounds, regions: TruthRegions
+) -> RunCounts:
+    """Counts for a block of rows of candidates, one entry per row in
+    each field.
+
+    Row ``r`` holds candidates ``bounds[r]:bounds[r + 1]`` of the block,
+    and ``lo[r], hi[r]`` are the block positions of ``regions``'
+    intervals in that row (see :func:`_positions`): each interval holds
+    ``hi - lo`` candidates and ``total[hi] - total[lo]`` rejections.
+    """
     total = np.concatenate(([0], np.cumsum(rejected)))
     inside = hi - lo
     found = total[hi] - total[lo]
     k = regions.signal_region.shape[0]
     p = regions.num_peaks
-    num_signal = int(inside[:k].sum())
-    r = int(total[-1])
-    w = int(found[:k].sum())
+    num_tests = np.diff(bounds)
+    num_signal = inside[:, :k].sum(axis=1)
+    r = total[bounds[1:]] - total[bounds[:-1]]
+    w = found[:, :k].sum(axis=1)
     return RunCounts(
         false_rejections=r - w,
         true_rejections=w,
         rejections=r,
-        detected_peaks=int(np.count_nonzero(found[k : k + p])),
-        num_tests=len(rejected),
-        num_null_tests=len(rejected) - num_signal,
+        detected_peaks=np.count_nonzero(found[:, k : k + p], axis=1),
+        num_tests=num_tests,
+        num_null_tests=num_tests - num_signal,
         num_signal_tests=num_signal,
-        multi_max_peaks=int(np.count_nonzero(inside[k + p :] > 1)),
-        num_peaks=p,
+        multi_max_peaks=np.count_nonzero(inside[:, k + p :] > 1, axis=1),
+        num_peaks=np.full(num_tests.size, p),
     )
-
-
-def _classify_arrays(
-    times: np.ndarray, rejected: np.ndarray, regions: TruthRegions
-) -> RunCounts:
-    """Score candidates whose ``times`` ascend."""
-    return _tally(*_positions(times, _endpoints(regions)), rejected, regions)
 
 
 def classify(result: DetectionResult, regions: TruthRegions) -> RunCounts:
     """Score a detection result against known truth regions.
 
     Candidates may come in any order; counting needs them sorted by time.
+    This is the one-row case of the harness's tally.
     """
     times, rejected = result.candidates.time, result.candidates.rejected
     if np.any(times[1:] < times[:-1]):
         order = np.argsort(times, kind="stable")
         times, rejected = times[order], rejected[order]
-    return _classify_arrays(times, rejected, regions)
+    lo, hi = _positions(times, _endpoints(regions))
+    counts = _tally(lo[None], hi[None], rejected, np.array([0, times.size]), regions)
+    return RunCounts(*(int(v[0]) for v in vars(counts).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,60 +345,55 @@ def _sim_context(config: SimConfig):
         truth_regions(config.signal, g, config.kernel_truncation, window)
         for g in config.gammas
     ]
-    ends = [_endpoints(r) for r in regions]
-    return margin, padded, signal_values, kernels, moments, regions, ends
+    # A candidate's time is ``grid.times()[index]``, so a closed time
+    # interval holds exactly the indices from the first grid time at or
+    # past its start to the last at or before its end.
+    times = grid.times()
+    cuts = []
+    for r in regions:
+        lo, hi = _positions(times, _endpoints(r))
+        cuts.append(np.stack((lo, hi - 1)))
+    return margin, padded, signal_values, kernels, moments, regions, cuts
 
 
 def _run_block(task):
-    """Replications [start, stop) of one study; returns per-rep arrays."""
+    """Replications [start, stop) of one study: the :class:`RunCounts`
+    fields, on the last axis, per (replication, gamma, method)."""
     config, start, stop = task
-    margin, padded, signal_values, kernels, moments, regions, ends = _sim_context(config)
-    grid = config.grid
-    delta = grid.spacing
-    length = grid.length
-    gammas, methods = config.gammas, config.methods
-    n, num_g, num_m = stop - start, len(gammas), len(methods)
-    any_false = np.zeros((n, num_g, num_m))
-    fdp = np.zeros((n, num_g, num_m))
-    power = np.zeros((n, num_g, num_m))
-    multi = np.zeros((n, num_g))
-    counts = np.zeros((n, num_g, num_m, 4))
-    tiny = np.finfo(float).tiny
-    found = [[] for _ in range(num_g)]
-    heights = [[] for _ in range(num_g)]
+    margin, padded, signal_values, kernels, moments, regions, cuts = _sim_context(config)
+    length = config.grid.length
+    found = [[] for _ in kernels]
+    heights = [[] for _ in kernels]
     for rep in range(start, stop):
         seed = replication_seed(config.base_seed, rep)
         noise_values = synthesize_noise(config.noise, padded, seed).values
-        raw = signal_values + noise_values
-        for gi in range(num_g):
-            full = np.convolve(raw, kernels[gi].weights, mode="same")
-            smoothed = full[margin : margin + length] * delta
+        raw = SampledSeries(signal_values + noise_values, padded.spacing, padded.origin)
+        for gi, kernel in enumerate(kernels):
+            # The margin covers the kernel's half-width, so the window
+            # never sees the renormalized edges.
+            smoothed = convolve(raw, kernel).values[margin : margin + length]
             idx = local_max_indices(smoothed)
             found[gi].append(idx)
             heights[gi].append(smoothed[idx])
-    for gi in range(num_g):
-        # One cdf call per bandwidth for the block, split back per replication.
-        p_all = peak_height_right_cdf(moments[gi], np.concatenate(heights[gi]))
-        cuts = np.cumsum([idx.size for idx in found[gi][:-1]])
-        for row, (idx, p) in enumerate(
-            zip(found[gi], np.split(np.maximum(p_all, tiny), cuts))
-        ):
-            times = grid.origin + delta * idx
-            # Candidate times ascend; their interval positions serve every method.
-            lo, hi = _positions(times, ends[gi])
-            for mi, method in enumerate(methods):
-                decision = _METHODS[method](p, config.alpha)
-                mask = np.zeros(idx.size, dtype=bool)
-                mask[list(decision.rejected_indices)] = True
-                rc = _tally(lo, hi, mask, regions[gi])
-                any_false[row, gi, mi] = 1.0 if rc.false_rejections > 0 else 0.0
-                fdp[row, gi, mi] = rc.false_rejections / max(rc.rejections, 1)
-                power[row, gi, mi] = rc.detected_peaks / max(rc.num_peaks, 1)
-                counts[row, gi, mi] = (
-                    rc.num_tests, rc.rejections, rc.false_rejections, rc.true_rejections
-                )
-            multi[row, gi] = rc.multi_max_peaks / max(rc.num_peaks, 1)
-    return any_false, fdp, power, multi, counts
+    # Row r's grid indices, offset by r * length, ascend across the block,
+    # so one search places every replication's candidates.
+    offsets = length * np.arange(stop - start)
+    counts = []
+    for gi in range(len(kernels)):
+        sizes = np.array([idx.size for idx in found[gi]])
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        keys = np.concatenate(found[gi]) + np.repeat(offsets, sizes)
+        lo, hi = _positions(keys, cuts[gi][:, None, :] + offsets[:, None])
+        p = np.maximum(
+            peak_height_right_cdf(moments[gi], np.concatenate(heights[gi])),
+            np.finfo(float).tiny,
+        )
+        for method in config.methods:
+            _, rejected = reject_rows(method, p, sizes, config.alpha)
+            rc = _tally(lo, hi, rejected, bounds, regions[gi])
+            counts.append(np.column_stack(list(vars(rc).values())))
+    shape = (stop - start, len(kernels), len(config.methods), -1)
+    return np.stack(counts, axis=1).reshape(shape)
 
 
 def _sample_se(x: np.ndarray) -> float:
@@ -418,13 +420,15 @@ def run_simulation(config: SimConfig) -> SimReport:
             blocks = list(pool.map(_run_block, tasks))
     else:
         blocks = [_run_block((config, 0, n))]
-    any_false, fdp, power, multi, counts = (
-        np.concatenate(parts) for parts in zip(*blocks)
-    )
+    rc = RunCounts(*np.moveaxis(np.concatenate(blocks), -1, 0))
+    peaks = np.maximum(rc.num_peaks, 1)
+    fdp = rc.false_rejections / np.maximum(rc.rejections, 1)
+    power = rc.detected_peaks / peaks
+    multi = rc.multi_max_peaks / peaks
     cells = []
     for gi, gamma in enumerate(config.gammas):
         for mi, method in enumerate(config.methods):
-            fwer = float(any_false[:, gi, mi].mean())
+            fwer = float(np.mean(rc.false_rejections[:, gi, mi] > 0))
             cells.append(
                 SimCell(
                     gamma=gamma,
@@ -435,12 +439,12 @@ def run_simulation(config: SimConfig) -> SimReport:
                     fdr_se=_sample_se(fdp[:, gi, mi]),
                     power=float(power[:, gi, mi].mean()),
                     power_se=_sample_se(power[:, gi, mi]),
-                    multi_max_prob=float(multi[:, gi].mean()),
-                    multi_max_se=_sample_se(multi[:, gi]),
-                    mean_tests=float(counts[:, gi, mi, 0].mean()),
-                    mean_rejections=float(counts[:, gi, mi, 1].mean()),
-                    mean_false_rejections=float(counts[:, gi, mi, 2].mean()),
-                    mean_true_rejections=float(counts[:, gi, mi, 3].mean()),
+                    multi_max_prob=float(multi[:, gi, 0].mean()),
+                    multi_max_se=_sample_se(multi[:, gi, 0]),
+                    mean_tests=float(rc.num_tests[:, gi, mi].mean()),
+                    mean_rejections=float(rc.rejections[:, gi, mi].mean()),
+                    mean_false_rejections=float(rc.false_rejections[:, gi, mi].mean()),
+                    mean_true_rejections=float(rc.true_rejections[:, gi, mi].mean()),
                 )
             )
     return SimReport(config=config, cells=tuple(cells))

@@ -5,6 +5,10 @@ itself random; both procedures take that count from the input vector.
 Bonferroni rejects ``p < alpha / m``; Benjamini-Hochberg applies the
 usual step-up rule. When no candidates exist (``m = 0``) the p-value
 threshold is defined as +infinity and nothing is rejected (vacuously).
+
+Both rules are written once, in :func:`reject_rows`, over a block of
+rows tested as separate families: one row per replication in the
+harness; :func:`bonferroni` and :func:`bh` are the one-row case.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "MtpDecision",
     "bonferroni",
     "bh",
+    "reject_rows",
     "bonferroni_deterministic_threshold",
     "bonferroni_approx_threshold",
     "asymptotic_bh_threshold",
@@ -72,68 +77,73 @@ def _height_threshold(
     return peak_height_right_cdf_inverse(moments, p_threshold)
 
 
+def reject_rows(method: str, p: np.ndarray, sizes, alpha: float):
+    """Bonferroni or BH over candidates grouped in rows, one family per row.
+
+    ``p`` holds row 0's p-values, then row 1's, and so on; ``sizes``
+    counts each row. Returns each row's p-threshold (as in
+    :class:`MtpDecision`) and the rejection mask over ``p``. BH rejects
+    ``p <= alpha k / m``: exactly the ``k`` smallest, since a later
+    p-value under that bound would pass the step-up test itself.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    row = np.repeat(np.arange(sizes.size), sizes)
+    if method == "bonferroni":
+        scaled = np.full(sizes.size, alpha)
+    else:
+        start = np.cumsum(sizes) - sizes
+        rank = np.arange(1, p.size + 1) - start[row]
+        passed = p[np.lexsort((p, row))] <= alpha * rank / sizes[row]
+        k = np.zeros(sizes.size, dtype=np.int64)
+        np.maximum.at(k, row[passed], rank[passed])
+        scaled = alpha * k
+    threshold = np.full(sizes.size, math.inf)
+    np.divide(scaled, sizes, out=threshold, where=sizes > 0)
+    mask = p < threshold[row] if method == "bonferroni" else p <= threshold[row]
+    return threshold, mask
+
+
+def _decide(method: str, p_values, alpha: float, moments) -> MtpDecision:
+    """The one-row case of :func:`reject_rows` as an :class:`MtpDecision`."""
+    _check_alpha(alpha)
+    p = _check_pvalues(p_values)
+    threshold, mask = reject_rows(method, p, [p.size], alpha)
+    rejected = np.flatnonzero(mask)
+    if method == "bh":
+        # In p order, ties by index: the order of the step-up sort.
+        rejected = rejected[np.argsort(p[rejected], kind="stable")]
+    threshold = float(threshold[0])
+    return MtpDecision(
+        method=method,
+        alpha=alpha,
+        num_tests=p.size,
+        p_threshold=threshold,
+        height_threshold=_height_threshold(moments, threshold),
+        rejected_indices=tuple(rejected.tolist()),
+    )
+
+
 def bonferroni(
     p_values, alpha: float, moments: SpectralMoments | None = None
 ) -> MtpDecision:
     """Bonferroni at level ``alpha`` over the observed candidates."""
-    _check_alpha(alpha)
-    p = _check_pvalues(p_values)
-    m = p.size
-    if m == 0:
-        threshold = math.inf
-        rejected: tuple[int, ...] = ()
-    else:
-        threshold = alpha / m
-        rejected = tuple(int(i) for i in np.flatnonzero(p < threshold))
-    return MtpDecision(
-        method="bonferroni",
-        alpha=alpha,
-        num_tests=m,
-        p_threshold=threshold,
-        height_threshold=_height_threshold(moments, threshold),
-        rejected_indices=rejected,
-    )
+    return _decide("bonferroni", p_values, alpha, moments)
 
 
 def bh(p_values, alpha: float, moments: SpectralMoments | None = None) -> MtpDecision:
     """Benjamini-Hochberg step-up at level ``alpha``.
 
     ``k = max{i : p_(i) <= i alpha / m}``; the ``k`` smallest p-values
-    are rejected. The sort is stable, and a tie cannot straddle the
-    boundary: if ``p_(k+1) == p_(k)`` then ``k+1`` would satisfy the
-    step-up condition too, so tied boundary values are always rejected
-    together.
+    are rejected, listed in p order. The sort is stable, and a tie
+    cannot straddle the boundary: if ``p_(k+1) == p_(k)`` then ``k+1``
+    would satisfy the step-up condition too, so tied boundary values
+    are always rejected together.
     """
-    _check_alpha(alpha)
-    p = _check_pvalues(p_values)
-    m = p.size
-    if m == 0:
-        return MtpDecision(
-            method="bh",
-            alpha=alpha,
-            num_tests=0,
-            p_threshold=math.inf,
-            height_threshold=_height_threshold(moments, math.inf),
-            rejected_indices=(),
-        )
-    order = np.argsort(p, kind="stable")
-    passed = np.flatnonzero(p[order] <= alpha * np.arange(1, m + 1) / m)
-    if passed.size == 0:
-        k = 0
-        threshold = 0.0
-        rejected: tuple[int, ...] = ()
-    else:
-        k = int(passed[-1]) + 1
-        threshold = alpha * k / m
-        rejected = tuple(int(i) for i in order[:k])
-    return MtpDecision(
-        method="bh",
-        alpha=alpha,
-        num_tests=m,
-        p_threshold=threshold,
-        height_threshold=_height_threshold(moments, threshold),
-        rejected_indices=rejected,
-    )
+    return _decide("bh", p_values, alpha, moments)
+
+
+# The procedures by name, for every caller that selects one.
+_METHODS = {"bonferroni": bonferroni, "bh": bh}
 
 
 def bonferroni_deterministic_threshold(

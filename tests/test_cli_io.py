@@ -23,6 +23,7 @@ from peaksig import (
     write_detection_report,
     write_sim_report,
 )
+from peaksig import cli
 from peaksig.cli import main
 
 KNOWN = DetectorConfig(gamma=3.0, method="bh", moments_source=NoiseSpec())
@@ -31,6 +32,10 @@ KNOWN = DetectorConfig(gamma=3.0, method="bh", moments_source=NoiseSpec())
 def small_result(seed=2):
     series = synthesize_noise(NoiseSpec(), Grid(400), seed=seed)
     return detect(series, KNOWN), series
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called after a usage error")
 
 
 def write_noise_file(path, n=400, seed=2):
@@ -354,9 +359,11 @@ class TestCliDetect:
         assert code == 2
         assert "line 51: non-finite" in capsys.readouterr().err
 
-    def test_csv_to_stdout_is_usage_error(self, tmp_path):
+    def test_csv_to_stdout_is_usage_error(self, tmp_path, monkeypatch):
         src = tmp_path / "series.txt"
         write_noise_file(src)
+        # The usage error comes before the input is read.
+        monkeypatch.setattr(cli, "load_series", refuse)
         code = main(
             ["detect", str(src), "--gamma", "3", "--noise-sigma", "1", "--output-format", "csv"]
         )
@@ -425,6 +432,16 @@ class TestCliSimulate:
         assert [c["gamma"] for c in report["cells"]] == [2.0, 3.0]
         assert report["config"]["replications"] == 3
 
+    def test_csv_to_stdout_is_usage_error(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"design": {"num_peaks": 2}, "gammas": [3.0]}))
+        # The usage error comes before the study runs.
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        code = main(
+            ["simulate", "--config", str(cfg), "--seed", "1", "--output-format", "csv"]
+        )
+        assert code == 1
+
     def test_seed_required(self, tmp_path):
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps({"design": {"num_peaks": 2}}))
@@ -467,15 +484,17 @@ class TestCliEstimateMoments:
         payload = json.loads(capsys.readouterr().out)
         assert payload["degenerate"] is True
 
-    def test_acf_needs_window_or_gamma(self, tmp_path):
+    def test_acf_needs_window_or_gamma(self, tmp_path, monkeypatch):
         src = tmp_path / "series.txt"
         write_noise_file(src, n=500, seed=8)
-        assert main(["estimate-moments", str(src), "--estimator", "acf"]) == 1
         assert (
             main(["estimate-moments", str(src), "--estimator", "acf",
                   "--lag-window", "5"])
             == 0
         )
+        # The usage error comes before the input is read.
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["estimate-moments", str(src), "--estimator", "acf"]) == 1
 
 
 class TestCliPvalueTable:

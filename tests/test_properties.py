@@ -5,12 +5,15 @@ seeded runs check the candidate columns of ``detect`` against the
 per-candidate definition they replace: one ``LocalMaximum`` per maximum,
 its p-value from the scalar height cdf, its flag from the decision's
 rejected indices. Truth accounting is checked against a per-peak loop
-over the intervals, and the height cdf and the smoother against their
-defining properties; the smoother is also checked against its
-two-convolution definition.
+over the intervals, one row at a time and as the harness's block of
+rows; the block rejection rule is checked row by row against the
+one-family Bonferroni and BH it replaced. The height cdf and the
+smoother are checked against their defining properties; the smoother
+is also checked against its two-convolution definition.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -39,8 +42,9 @@ from peaksig import (
     synthesize_dataset,
     truth_regions,
 )
-from peaksig.evaluation import _classify_arrays
+from peaksig.evaluation import _endpoints, _positions, _tally
 from peaksig.io import _read_plain_lines
+from peaksig.mtp import MtpDecision, _height_threshold, bh, bonferroni, reject_rows
 from peaksig.nulldist import SpectralMoments
 from peaksig.smoothing import _FFT_MIN_TAPS
 
@@ -191,6 +195,21 @@ def classify_reference(times, rejected, regions) -> RunCounts:
     )
 
 
+def tally_block(rows, regions) -> list[RunCounts]:
+    """The block tally over rows of (time, rejected) pairs, each row's
+    interval positions offset by the row's start in the block."""
+    rows = [sorted(row, key=lambda pair: pair[0]) for row in rows]
+    bounds = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+    ends = _endpoints(regions)
+    times = [np.array([t for t, _ in row], dtype=float) for row in rows]
+    lo, hi = map(np.array, zip(*(_positions(t, ends) for t in times)))
+    rejected = np.array([r for row in rows for _, r in row], dtype=bool)
+    start = bounds[:-1, None]
+    counts = _tally(lo + start, hi + start, rejected, bounds, regions)
+    fields = list(vars(counts).values())
+    return [RunCounts(*(int(v[i]) for v in fields)) for i in range(len(rows))]
+
+
 def classify_rows(rows, regions):
     """``classify`` as it read ``LocalMaximum`` rows."""
     times = np.array([mx.time for mx in rows])
@@ -254,12 +273,15 @@ def test_classify_matches_per_peak_loop(layout, data):
         st.integers(-10, 140).map(lambda k: 0.5 * k),
         st.floats(-5.0, 65.0),
     )
-    pairs = data.draw(st.lists(st.tuples(time, st.booleans()), max_size=25))
+    # A block of rows, some empty, tallied together as the harness does.
+    candidates = st.lists(st.tuples(time, st.booleans()), max_size=25)
+    block = data.draw(st.lists(candidates, min_size=1, max_size=4))
+    assert tally_block(block, regions) == [
+        classify_reference([t for t, _ in row], [r for _, r in row], regions)
+        for row in block
+    ]
+    pairs = block[0]
     want = classify_reference([t for t, _ in pairs], [r for _, r in pairs], regions)
-    ordered = sorted(pairs, key=lambda pair: pair[0])
-    times = np.array([t for t, _ in ordered], dtype=float)
-    rejected = np.array([r for _, r in ordered], dtype=bool)
-    assert _classify_arrays(times, rejected, regions) == want
     # Unsorted candidates through the public entry point.
     rows = [
         LocalMaximum(index=k, time=t, height=0.0, p_value=0.5, rejected=r)
@@ -397,3 +419,104 @@ def test_convolve_fft_path_keeps_flat_window_ties():
         SampledSeries(convolve_reference(x, kernel), boundary=kernel.half_width)
     )
     assert got.index.tolist() == want.index.tolist()
+
+
+def bonferroni_reference(p_values, alpha, moments=None) -> MtpDecision:
+    """Bonferroni on one family, as it read before the block rule."""
+    p = np.asarray(p_values, dtype=float)
+    m = p.size
+    if m == 0:
+        threshold = math.inf
+        rejected: tuple[int, ...] = ()
+    else:
+        threshold = alpha / m
+        rejected = tuple(int(i) for i in np.flatnonzero(p < threshold))
+    return MtpDecision(
+        method="bonferroni",
+        alpha=alpha,
+        num_tests=m,
+        p_threshold=threshold,
+        height_threshold=_height_threshold(moments, threshold),
+        rejected_indices=rejected,
+    )
+
+
+def bh_reference(p_values, alpha, moments=None) -> MtpDecision:
+    """Benjamini-Hochberg on one family, as it read before the block rule."""
+    p = np.asarray(p_values, dtype=float)
+    m = p.size
+    if m == 0:
+        return MtpDecision(
+            method="bh",
+            alpha=alpha,
+            num_tests=0,
+            p_threshold=math.inf,
+            height_threshold=_height_threshold(moments, math.inf),
+            rejected_indices=(),
+        )
+    order = np.argsort(p, kind="stable")
+    passed = np.flatnonzero(p[order] <= alpha * np.arange(1, m + 1) / m)
+    if passed.size == 0:
+        k = 0
+        threshold = 0.0
+        rejected: tuple[int, ...] = ()
+    else:
+        k = int(passed[-1]) + 1
+        threshold = alpha * k / m
+        rejected = tuple(int(i) for i in order[:k])
+    return MtpDecision(
+        method="bh",
+        alpha=alpha,
+        num_tests=m,
+        p_threshold=threshold,
+        height_threshold=_height_threshold(moments, threshold),
+        rejected_indices=rejected,
+    )
+
+
+REFERENCES = {"bonferroni": bonferroni_reference, "bh": bh_reference}
+TINY = np.finfo(float).tiny
+
+# A few shared values make ties common; 1 and the floor are the ends of (0, 1].
+pvalues = st.one_of(
+    st.sampled_from([TINY, 1e-300, 1e-4, 0.0025, 0.01, 0.02, 0.5, 1.0]),
+    st.floats(TINY, 1.0),
+)
+alphas = st.sampled_from([0.05, 0.1, 0.2]) | st.floats(1e-6, 0.999)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(REFERENCES)),
+    st.lists(st.lists(pvalues, max_size=30), max_size=6),
+    alphas,
+)
+def test_block_rule_matches_reference_per_row(method, rows, alpha):
+    sizes = [len(row) for row in rows]
+    p = np.array([v for row in rows for v in row], dtype=float)
+    threshold, mask = reject_rows(method, p, sizes, alpha)
+    assert threshold.shape == (len(rows),) and mask.shape == p.shape
+    start = 0
+    for r, row in enumerate(rows):
+        want = REFERENCES[method](row, alpha)
+        assert threshold[r] == want.p_threshold
+        got = np.flatnonzero(mask[start : start + len(row)]).tolist()
+        assert got == sorted(want.rejected_indices)
+        start += len(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(REFERENCES)),
+    st.lists(pvalues, max_size=40),
+    alphas,
+    st.none() | st.just(SpectralMoments(1.0, 0.5, 1.0)),
+)
+def test_one_row_decision_matches_reference(method, p, alpha, moments):
+    got = {"bonferroni": bonferroni, "bh": bh}[method](p, alpha, moments)
+    want = REFERENCES[method](p, alpha, moments)
+    for name in ("method", "alpha", "num_tests", "height_threshold", "rejected_indices"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert type(got.p_threshold) is float
+    assert np.float64(got.p_threshold).tobytes() == np.float64(want.p_threshold).tobytes()
+    assert all(type(i) is int for i in got.rejected_indices)
