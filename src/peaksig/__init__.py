@@ -19,7 +19,7 @@ from .model import (
     synthesize_noise,
     synthesize_signal,
 )
-from .maxima import Candidates, LocalMaximum, find_local_maxima, local_max_indices
+from .maxima import Candidates, find_local_maxima, local_max_indices
 from .nulldist import (
     GaussianModelParams,
     InvalidMomentsError,
@@ -97,7 +97,6 @@ __all__ = [
     "synthesize_noise",
     "synthesize_signal",
     "Candidates",
-    "LocalMaximum",
     "find_local_maxima",
     "local_max_indices",
     "GaussianModelParams",

@@ -5,18 +5,19 @@ with a Gaussian kernel, list local maxima outside the boundary zone,
 convert heights to p-values under the null height distribution, and
 apply one multiple testing procedure. Spectral moments are resolved
 once, before any decision, from one of three sources: the known noise
-model, an estimator run on the smoothed data, or explicit values.
+model, an estimator run on the smoothed data, or explicit values. The
+candidates travel as one column table (:class:`Candidates`) from the
+maxima search to the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import mtp
-from .maxima import Candidates, LocalMaximum, find_local_maxima
+from .maxima import Candidates, find_local_maxima
 from .model import NoiseSpec
 from .moments_est import (
     ESTIMATORS,
@@ -33,7 +34,7 @@ from .nulldist import (
     gaussian_model_moments,
 )
 from .series import SampledSeries
-from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, make_gaussian_kernel
+from .smoothing import DEFAULT_KERNEL_TRUNCATION, _half_width, convolve, make_gaussian_kernel
 
 __all__ = ["DetectorConfig", "DetectionResult", "detect", "estimate_smoothed_moments"]
 
@@ -79,10 +80,9 @@ class DetectorConfig:
 class DetectionResult:
     """Outcome of :func:`detect`.
 
-    ``candidates`` holds every candidate maximum as columns, with the
-    p-value and rejection columns filled; it is the fast path for
-    whole-array work. ``maxima`` gives the same candidates as
-    ``LocalMaximum`` rows, built on first access.
+    ``candidates`` holds every candidate maximum as columns, in
+    ascending index order, with the p-value and rejection columns
+    filled.
     """
 
     candidates: Candidates
@@ -96,9 +96,13 @@ class DetectionResult:
         if self.candidates.p_value is None or self.candidates.rejected is None:
             raise ValueError("detection candidates need p-value and rejection columns")
 
-    @cached_property
-    def maxima(self) -> tuple[LocalMaximum, ...]:
-        return self.candidates.rows()
+
+def _kernel_for(series, gamma, truncation=DEFAULT_KERNEL_TRUNCATION):
+    """The Gaussian kernel to smooth ``series`` with, refused before any
+    weight is computed when the series is too short for it."""
+    if len(series) < 2 * _half_width(gamma, truncation, series.spacing) + 3:
+        raise ValueError("series too short for the requested kernel")
+    return make_gaussian_kernel(gamma, truncation, series.spacing)
 
 
 def estimate_smoothed_moments(
@@ -145,11 +149,7 @@ def _resolve_moments(
 
 def detect(series: SampledSeries, config: DetectorConfig) -> DetectionResult:
     """Run the detection pipeline on a raw series."""
-    kernel = make_gaussian_kernel(
-        config.gamma, config.kernel_truncation, series.spacing
-    )
-    if len(series) < kernel.weights.size + 2:
-        raise ValueError("series too short for the requested kernel")
+    kernel = _kernel_for(series, config.gamma, config.kernel_truncation)
     warnings: tuple[str, ...] = ()
     if kernel.aliased:
         warnings = (

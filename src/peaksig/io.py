@@ -3,11 +3,12 @@
 Two input formats: ``plain`` (one value per line, spacing supplied out
 of band) and ``csv`` (``time,value`` rows, no header; the time column
 must be uniformly spaced to 1e-6 of the spacing, plus a few ulps of the
-largest time so that epoch timestamps pass). Both formats reject
-non-finite values, naming the first offending line. Reports go out as
-JSON (self-contained) or CSV (tabular rows plus a ``.manifest.json``
-sidecar carrying the provenance block: tool, version, UTC timestamp,
-input digest, configuration echo).
+largest time so that epoch timestamps pass). Both are read as UTF-8,
+with or without a leading byte-order mark, and reject non-finite
+values, naming the first offending line. Reports go out as JSON
+(self-contained) or CSV (tabular rows plus a ``.manifest.json`` sidecar
+carrying the provenance block: tool, version, UTC timestamp, input
+digest, configuration echo).
 
 JSON uses the stdlib encoder, so infinite thresholds round-trip as
 ``Infinity``.
@@ -69,7 +70,7 @@ def _loadtxt(path, **kwargs) -> np.ndarray | None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file warns
             return np.loadtxt(
-                path, dtype=float, comments=None, encoding="utf-8", **kwargs
+                path, dtype=float, comments=None, encoding="utf-8-sig", **kwargs
             )
     except (ValueError, OSError):
         return None
@@ -79,22 +80,30 @@ def _non_finite(path, lineno: int, text) -> SeriesFormatError:
     return SeriesFormatError(f"{path}: line {lineno}: non-finite value in {text!r}")
 
 
+def _text_lines(path, newline=None):
+    """Lines of ``path`` decoded as UTF-8, a leading byte-order mark dropped."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise SeriesFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_plain_lines(path) -> np.ndarray:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: expected one number, got {text!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise _non_finite(path, lineno, text)
-            values.append(value)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise SeriesFormatError(
+                f"{path}: line {lineno}: expected one number, got {text!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise _non_finite(path, lineno, text)
+        values.append(value)
     return np.array(values)
 
 
@@ -109,24 +118,23 @@ def _load_plain(path, spacing: float, origin: float) -> SampledSeries:
 
 def _read_csv_rows(path) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: expected 'time,value', got {len(row)} fields"
-                )
-            try:
-                pair = (float(row[0]), float(row[1]))
-            except ValueError:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: non-numeric field in {row!r}"
-                    " (headers are not supported)"
-                ) from None
-            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-                raise _non_finite(path, lineno, row)
-            rows.append(pair)
+    for lineno, row in enumerate(csv.reader(_text_lines(path, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise SeriesFormatError(
+                f"{path}: line {lineno}: expected 'time,value', got {len(row)} fields"
+            )
+        try:
+            pair = (float(row[0]), float(row[1]))
+        except ValueError:
+            raise SeriesFormatError(
+                f"{path}: line {lineno}: non-numeric field in {row!r}"
+                " (headers are not supported)"
+            ) from None
+        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+            raise _non_finite(path, lineno, row)
+        rows.append(pair)
     return np.array(rows).reshape(-1, 2)
 
 

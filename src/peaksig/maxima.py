@@ -2,8 +2,8 @@
 
 Candidate maxima are kept as columns (:class:`Candidates`): one array
 each for grid index, time, height, p-value and rejection flag. The
-pipeline fills the columns in whole-array steps; :class:`LocalMaximum`
-rows are built only when a caller iterates over the table.
+pipeline fills the columns in whole-array steps; there is no
+per-candidate object.
 """
 
 from __future__ import annotations
@@ -14,19 +14,7 @@ import numpy as np
 
 from .series import SampledSeries
 
-__all__ = ["Candidates", "LocalMaximum", "find_local_maxima", "local_max_indices"]
-
-
-@dataclass(frozen=True)
-class LocalMaximum:
-    """One candidate peak: grid index, time, height, and (once computed)
-    its p-value and rejection status."""
-
-    index: int
-    time: float
-    height: float
-    p_value: float | None = None
-    rejected: bool | None = None
+__all__ = ["Candidates", "find_local_maxima", "local_max_indices"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +24,7 @@ class Candidates:
     ``index`` holds grid indices, ``time`` and ``height`` the matching
     times and smoothed values. ``p_value`` (float) and ``rejected``
     (bool) stay None until the pipeline computes them. ``len`` counts
-    the candidates; iterating builds :class:`LocalMaximum` rows on
-    demand.
+    the candidates.
     """
 
     index: np.ndarray
@@ -61,37 +48,8 @@ class Candidates:
                 raise ValueError(f"candidate column {name!r} must match the indices")
             object.__setattr__(self, name, col)
 
-    @classmethod
-    def from_rows(cls, rows) -> "Candidates":
-        """Columns from ``LocalMaximum`` rows.
-
-        A p-value or rejection column is filled only when every row
-        carries that field.
-        """
-        rows = list(rows)
-        p = [mx.p_value for mx in rows]
-        r = [mx.rejected for mx in rows]
-        return cls(
-            index=np.array([mx.index for mx in rows], dtype=np.int64),
-            time=np.array([mx.time for mx in rows], dtype=float),
-            height=np.array([mx.height for mx in rows], dtype=float),
-            p_value=None if None in p else np.array(p, dtype=float),
-            rejected=None if None in r else np.array(r, dtype=bool),
-        )
-
     def __len__(self) -> int:
         return self.index.size
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    def rows(self) -> tuple[LocalMaximum, ...]:
-        """All candidates as ``LocalMaximum`` objects."""
-        n = len(self)
-        p = [None] * n if self.p_value is None else self.p_value.tolist()
-        r = [None] * n if self.rejected is None else self.rejected.tolist()
-        columns = (self.index.tolist(), self.time.tolist(), self.height.tolist(), p, r)
-        return tuple(map(LocalMaximum, *columns))
 
 
 def local_max_indices(values: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._normal import log_ndtr, ndtr
-from .maxima import Candidates, LocalMaximum
+from .maxima import Candidates
 
 __all__ = [
     "InvalidMomentsError",
@@ -231,18 +231,14 @@ def expected_num_maxima(m: SpectralMoments, length: float, u: float | None = Non
     return base * peak_height_right_cdf(m, u)
 
 
-def assign_pvalues(
-    maxima: Candidates | list[LocalMaximum], m: SpectralMoments
-) -> Candidates | list[LocalMaximum]:
+def assign_pvalues(maxima: Candidates, m: SpectralMoments) -> Candidates:
     """Fill ``p_value = F(height)`` for every candidate in one call.
 
-    Takes a :class:`Candidates` table and returns a new table with the
-    p-value column set; a list of ``LocalMaximum`` rows gives back a new
-    list of rows. Results are floored at the smallest positive normal
-    float so that downstream procedures always see p in (0, 1].
+    Returns a new :class:`Candidates` table with the p-value column
+    set; the input table is left as it was. Results are floored at the
+    smallest positive normal float so that downstream procedures always
+    see p in (0, 1].
     """
     m.validate()
-    if not isinstance(maxima, Candidates):
-        return list(assign_pvalues(Candidates.from_rows(maxima), m))
     p = np.maximum(peak_height_right_cdf(m, maxima.height), np.finfo(float).tiny)
     return replace(maxima, p_value=p)

@@ -55,6 +55,19 @@ class Kernel:
             raise ValueError("kernel weights must integrate to 1 on the grid")
 
 
+def _half_width(gamma: float, truncation: float, spacing: float) -> int:
+    """Half-width in samples of ``make_gaussian_kernel``'s kernel, not building it."""
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError("kernel bandwidth must be positive")
+    if not (np.isfinite(truncation) and truncation > 0):
+        raise ValueError("kernel truncation must be positive")
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError("kernel spacing must be positive")
+    # Small epsilon so an exact multiple of the spacing lands inside; the
+    # cap keeps a reach that overflows to inf an integer.
+    return int(np.floor(min(truncation * gamma / spacing + 1e-9, 2.0**62)))
+
+
 def make_gaussian_kernel(
     gamma: float,
     truncation: float = DEFAULT_KERNEL_TRUNCATION,
@@ -79,14 +92,7 @@ def make_gaussian_kernel(
         ``gamma <= spacing``; such kernels are usable but undersample
         the Gaussian shape.
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError("kernel bandwidth must be positive")
-    if not (np.isfinite(truncation) and truncation > 0):
-        raise ValueError("kernel truncation must be positive")
-    if not (np.isfinite(spacing) and spacing > 0):
-        raise ValueError("kernel spacing must be positive")
-    # Small epsilon so an exact multiple of the spacing lands inside.
-    half_width = int(np.floor(truncation * gamma / spacing + 1e-9))
+    half_width = _half_width(gamma, truncation, spacing)
     offsets = spacing * np.arange(-half_width, half_width + 1)
     weights = np.exp(-0.5 * (offsets / gamma) ** 2) / (gamma * _SQRT_2PI)
     weights /= weights.sum() * spacing

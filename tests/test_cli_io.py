@@ -1,7 +1,10 @@
 """Tests for file formats, report writing, and the command line."""
 
+import hashlib
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from peaksig import (
     write_sim_report,
 )
 from peaksig import cli
+from peaksig import io as peaksig_io
 from peaksig.cli import main
+from peaksig.io import _read_csv_rows, _read_plain_lines
 
 KNOWN = DetectorConfig(gamma=3.0, method="bh", moments_source=NoiseSpec())
 
@@ -184,22 +189,106 @@ class TestLoadSeriesCsv:
             load_series(f, fmt="csv")
 
 
+BOM = b"\xef\xbb\xbf"
+# Two values in each format; "1_0" sends the file to the line reader.
+ENCODED = {
+    "plain": [b"0.5\n-1.25\n3e-1\n", b"0.5\n1_0\n-1.25\n"],
+    "csv": [b"0.0,0.5\n0.5,-1.25\n1.0,3e-1\n", b"0.0,0.5\n0.5,1_0\n1.0,-1.25\n"],
+}
+LINE_READERS = {"plain": _read_plain_lines, "csv": _read_csv_rows}
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("fmt", sorted(ENCODED))
+    @pytest.mark.parametrize("which", [0, 1], ids=["fast", "lines"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, fmt, which):
+        raw = ENCODED[fmt][which]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(raw)
+        marked.write_bytes(BOM + raw)
+        read = LINE_READERS[fmt]
+        assert read(marked).tobytes() == read(plain).tobytes()
+        want = load_series(plain, fmt)
+        if which == 0:
+            # The fast path reads the mark itself, without the line reader.
+            monkeypatch.setattr(peaksig_io, read.__name__, refuse)
+        got = load_series(marked, fmt)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.spacing, got.origin) == (want.spacing, want.origin)
+
+    @pytest.mark.parametrize("fmt", sorted(ENCODED))
+    def test_non_utf8_is_a_format_error(self, tmp_path, fmt):
+        f = tmp_path / "utf16"
+        f.write_bytes(ENCODED[fmt][0].decode().encode("utf-16"))
+        assert f.read_bytes()[:2] == b"\xff\xfe"
+        with pytest.raises(SeriesFormatError, match=re.escape(f"{f}: not UTF-8 text")):
+            load_series(f, fmt)
+        with pytest.raises(SeriesFormatError, match="not UTF-8 text"):
+            LINE_READERS[fmt](f)
+
+    def test_cli_reads_byte_order_mark(self, tmp_path, capsys):
+        series = synthesize_noise(NoiseSpec(), Grid(400), seed=2)
+        raw = "".join(f"{v!r}\n" for v in series.values.tolist()).encode()
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(raw)
+        marked.write_bytes(BOM + raw)
+        reports = []
+        for src in (plain, marked):
+            assert main(["detect", str(src), "--gamma", "3", "--noise-sigma", "1"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["maxima"] == reports[1]["maxima"]
+        # The digest is of the bytes on disk, mark included.
+        assert reports[1]["input"]["sha256"] == hashlib.sha256(BOM + raw).hexdigest()
+        outputs = []
+        for src in (plain, marked):
+            assert main(["estimate-moments", str(src), "--gamma", "3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["detect", "estimate-moments"])
+    def test_cli_non_utf8_exit_2(self, tmp_path, capsys, command):
+        src = tmp_path / "series.txt"
+        src.write_bytes(b"\xff\xfe0\x00.\x005\x00\n\x00")
+        assert main([command, str(src), "--gamma", "3"]) == 2
+        assert f"{src}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["1e6", "1e15", "1e308"])
+@pytest.mark.parametrize(
+    "command", [["detect", "--noise-sigma", "1"], ["estimate-moments"]], ids=lambda c: c[0]
+)
+def test_huge_bandwidth_refused_before_any_kernel(tmp_path, capsys, command, gamma):
+    # A 1e6 bandwidth would build 8e6 taps (64 MB), 1e15 more than any
+    # address space holds, 1e308 an infinite reach: all are refused first.
+    src = tmp_path / "series.txt"
+    write_noise_file(src, n=300)
+    tracemalloc.start()
+    try:
+        code = main([command[0], str(src), "--gamma", gamma, *command[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "series too short for the requested kernel" in capsys.readouterr().err
+    assert peak < 8 << 20
+
+
 class TestDetectionReports:
     def test_json_roundtrip_is_exact(self, tmp_path):
         result, _ = small_result()
         out = tmp_path / "report.json"
         write_detection_report(result, out, fmt="json")
         loaded = load_detection_report(out)
-        assert loaded["num_maxima"] == len(result.maxima)
-        assert loaded["num_rejected"] == sum(1 for m in result.maxima if m.rejected)
+        c = result.candidates
+        assert loaded["num_maxima"] == len(c)
+        assert loaded["num_rejected"] == int(np.count_nonzero(c.rejected))
         assert loaded["decision"]["p_threshold"] == result.decision.p_threshold
         assert loaded["decision"]["rejected_indices"] == list(
             result.decision.rejected_indices
         )
-        for row, mx in zip(loaded["maxima"], result.maxima):
-            assert row["time"] == mx.time
-            assert row["height"] == mx.height
-            assert row["p_value"] == mx.p_value
+        assert [row["time"] for row in loaded["maxima"]] == c.time.tolist()
+        assert [row["height"] for row in loaded["maxima"]] == c.height.tolist()
+        assert [row["p_value"] for row in loaded["maxima"]] == c.p_value.tolist()
         assert loaded["tool"] == "peaksig"
         assert loaded["config"]["gamma"] == 3.0
 
@@ -222,11 +311,11 @@ class TestDetectionReports:
         write_detection_report(result, out, fmt="csv", input_path=str(src))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "index,time,height,p_value,rejected"
-        assert len(lines) == 1 + len(result.maxima)
+        assert len(lines) == 1 + len(result.candidates)
         # Values reparse exactly: repr round-trips doubles.
         first = lines[1].split(",")
-        assert float(first[2]) == result.maxima[0].height
-        assert float(first[3]) == result.maxima[0].p_value
+        assert float(first[2]) == result.candidates.height[0]
+        assert float(first[3]) == result.candidates.p_value[0]
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["tool"] == "peaksig"
         assert manifest["version"]

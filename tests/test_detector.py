@@ -54,7 +54,7 @@ class TestDetectBasics:
     def test_flat_series_has_no_candidates(self):
         series = SampledSeries(np.zeros(500))
         result = detect(series, KNOWN)
-        assert result.maxima == ()
+        assert len(result.candidates) == 0
         assert result.decision.num_tests == 0
         assert result.decision.rejected_indices == ()
 
@@ -73,26 +73,26 @@ class TestDetectBasics:
         result = detect(series, KNOWN)
         # Kernel half-width: floor(4 * 3 / 1) = 12 samples per side.
         assert result.boundary_excluded == 12
-        assert all(
-            12 <= mx.index <= len(series) - 13 for mx in result.maxima
-        )
+        index = result.candidates.index
+        assert np.all((index >= 12) & (index <= len(series) - 13))
 
     def test_maxima_carry_pvalues_and_flags(self):
         result = detect(noise_series(2000, seed=2), KNOWN)
-        assert result.decision.num_tests == len(result.maxima)
-        for mx in result.maxima:
-            assert 0.0 < mx.p_value <= 1.0
-            assert mx.rejected in (True, False)
-        rejected = [i for i, mx in enumerate(result.maxima) if mx.rejected]
+        c = result.candidates
+        assert result.decision.num_tests == len(c)
+        assert np.all((c.p_value > 0.0) & (c.p_value <= 1.0))
+        assert c.rejected.dtype == bool
+        rejected = np.flatnonzero(c.rejected).tolist()
         assert tuple(rejected) == result.decision.rejected_indices
 
     def test_rejection_set_is_height_consistent(self):
         # Every rejected maximum outranks every accepted one.
         result = detect(noise_series(5000, seed=3), KNOWN)
-        rej = [mx.p_value for mx in result.maxima if mx.rejected]
-        acc = [mx.p_value for mx in result.maxima if not mx.rejected]
-        if rej and acc:
-            assert max(rej) <= min(acc)
+        c = result.candidates
+        rej = c.p_value[c.rejected]
+        acc = c.p_value[~c.rejected]
+        if rej.size and acc.size:
+            assert rej.max() <= acc.min()
 
     def test_aliasing_warning(self):
         config = DetectorConfig(gamma=1.0, moments_source=NoiseSpec())
@@ -109,10 +109,9 @@ class TestInvariances:
         shifted = SampledSeries(series.values + 50.0, series.spacing, series.origin)
         a = detect(series, KNOWN)
         b = detect(shifted, KNOWN)
-        assert [mx.index for mx in a.maxima] == [mx.index for mx in b.maxima]
+        assert a.candidates.index.tolist() == b.candidates.index.tolist()
         assert a.decision.rejected_indices == b.decision.rejected_indices
-        for ma, mb in zip(a.maxima, b.maxima):
-            assert mb.p_value == pytest.approx(ma.p_value, rel=1e-9)
+        assert b.candidates.p_value == pytest.approx(a.candidates.p_value, rel=1e-9)
 
     def test_scale_equivariance_with_matching_moments(self):
         series = noise_series(2000, seed=6)
@@ -125,10 +124,9 @@ class TestInvariances:
             scaled,
             DetectorConfig(gamma=3.0, method="bh", moments_source=base_m.scaled(16.0)),
         )
-        assert [mx.index for mx in a.maxima] == [mx.index for mx in b.maxima]
+        assert a.candidates.index.tolist() == b.candidates.index.tolist()
         assert a.decision.rejected_indices == b.decision.rejected_indices
-        for ma, mb in zip(a.maxima, b.maxima):
-            assert mb.p_value == pytest.approx(ma.p_value, rel=1e-9)
+        assert b.candidates.p_value == pytest.approx(a.candidates.p_value, rel=1e-9)
 
     def test_bonferroni_rejections_within_bh(self):
         rng = np.random.default_rng(7)
@@ -198,9 +196,7 @@ class TestOperatingBehavior:
         signal = SignalSpec(peaks=peaks, peak_scale=3.0)
         data = synthesize_dataset(signal, NoiseSpec(), Grid(2000), seed=6)
         result = detect(data, KNOWN)
-        rejected_times = [
-            mx.time for mx in result.maxima if mx.rejected
-        ]
+        rejected_times = result.candidates.time[result.candidates.rejected]
         assert len(rejected_times) >= 19
         centers = np.array([tau for _, tau in peaks])
         for t in rejected_times:
@@ -214,8 +210,8 @@ class TestOperatingBehavior:
         off = detect(series, off_cfg)
         # Same candidate locations, but raw heights keep the sample mean
         # (smoothing passes constants through unchanged).
-        assert [mx.index for mx in on.maxima] == [mx.index for mx in off.maxima]
+        assert on.candidates.index.tolist() == off.candidates.index.tolist()
         offset = series.values.mean()
-        assert off.maxima[0].height == pytest.approx(
-            on.maxima[0].height + offset, abs=1e-9
+        assert off.candidates.height[0] == pytest.approx(
+            on.candidates.height[0] + offset, abs=1e-9
         )

@@ -13,7 +13,6 @@ from peaksig import (
     DetectionResult,
     DetectorConfig,
     Grid,
-    LocalMaximum,
     NoiseSpec,
     SignalSpec,
     SpectralMoments,
@@ -31,12 +30,16 @@ ONE_PEAK = SignalSpec(peaks=((10.0, 50.0),), peak_scale=3.0, peak_truncation=2.0
 
 
 def fake_result(times, rejected):
-    maxima = tuple(
-        LocalMaximum(index=i, time=float(t), height=0.0, p_value=0.5, rejected=bool(r))
-        for i, (t, r) in enumerate(zip(times, rejected))
+    n = len(times)
+    candidates = Candidates(
+        index=np.arange(n),
+        time=times,
+        height=np.zeros(n),
+        p_value=np.full(n, 0.5),
+        rejected=rejected,
     )
     return DetectionResult(
-        candidates=Candidates.from_rows(maxima),
+        candidates=candidates,
         decision=bonferroni([], 0.05),
         moments_used=SpectralMoments(1.0, 0.5, 1.0),
         boundary_excluded=0,

@@ -5,7 +5,6 @@ import pytest
 
 from peaksig import (
     Candidates,
-    LocalMaximum,
     SampledSeries,
     find_local_maxima,
     local_max_indices,
@@ -98,26 +97,23 @@ class TestFindLocalMaxima:
     def test_fields(self):
         series = SampledSeries([0.0, 2.0, 0.0, 3.0, 0.0], spacing=0.5, origin=10.0)
         found = find_local_maxima(series)
-        assert [m.index for m in found] == [1, 3]
-        assert [m.time for m in found] == [10.5, 11.5]
-        assert [m.height for m in found] == [2.0, 3.0]
-        assert all(m.p_value is None and m.rejected is None for m in found)
+        assert found.index.tolist() == [1, 3]
+        assert found.time.tolist() == [10.5, 11.5]
+        assert found.height.tolist() == [2.0, 3.0]
+        assert found.p_value is None and found.rejected is None
 
     def test_boundary_exclusion_default(self):
         # The series' own boundary annotation is the default exclusion.
         values = [0.0, 5.0, 0.0, 1.0, 0.0, 5.0, 0.0]
         plain = SampledSeries(values)
         marked = SampledSeries(values, boundary=2)
-        assert [m.index for m in find_local_maxima(plain)] == [1, 3, 5]
-        assert [m.index for m in find_local_maxima(marked)] == [3]
+        assert find_local_maxima(plain).index.tolist() == [1, 3, 5]
+        assert find_local_maxima(marked).index.tolist() == [3]
 
     def test_boundary_exclusion_override(self):
         series = SampledSeries([0.0, 5.0, 0.0, 1.0, 0.0, 5.0, 0.0], boundary=2)
-        assert [m.index for m in find_local_maxima(series, excluded_boundary=0)] == [
-            1,
-            3,
-            5,
-        ]
+        found = find_local_maxima(series, excluded_boundary=0)
+        assert found.index.tolist() == [1, 3, 5]
 
     def test_negative_exclusion_rejected(self):
         series = SampledSeries([0.0, 1.0, 0.0])
@@ -127,31 +123,24 @@ class TestFindLocalMaxima:
     def test_ascending_order(self):
         rng = np.random.default_rng(16)
         series = SampledSeries(rng.standard_normal(500))
-        idx = [m.index for m in find_local_maxima(series)]
+        idx = find_local_maxima(series).index.tolist()
         assert idx == sorted(idx)
 
 
 class TestCandidates:
-    ROWS = [
-        LocalMaximum(index=3, time=1.5, height=2.0, p_value=0.25, rejected=True),
-        LocalMaximum(index=7, time=3.5, height=1.0, p_value=0.5, rejected=False),
-    ]
-
-    def test_rows_roundtrip(self):
-        table = Candidates.from_rows(self.ROWS)
+    def test_columns_take_their_dtypes(self):
+        table = Candidates(
+            index=[3, 7], time=[1.5, 3.5], height=[2, 1], p_value=[0.25, 0.5], rejected=[1, 0]
+        )
         assert len(table) == 2
-        assert list(table) == self.ROWS
         assert table.index.dtype == np.int64 and table.rejected.dtype == bool
-
-    def test_partial_rows_leave_columns_unset(self):
-        rows = [LocalMaximum(index=1, time=1.0, height=0.5)]
-        table = Candidates.from_rows(rows)
-        assert table.p_value is None and table.rejected is None
-        assert list(table) == rows
+        assert table.height.dtype == float and table.height.tolist() == [2.0, 1.0]
+        assert table.rejected.tolist() == [True, False]
 
     def test_empty(self):
-        table = Candidates.from_rows([])
-        assert len(table) == 0 and list(table) == []
+        table = Candidates(index=[], time=[], height=[])
+        assert len(table) == 0 and table.index.dtype == np.int64
+        assert table.p_value is None and table.rejected is None
 
     def test_column_lengths_must_agree(self):
         with pytest.raises(ValueError, match="height"):

@@ -9,7 +9,6 @@ from peaksig import (
     GaussianModelParams,
     InvalidMomentsError,
     Candidates,
-    LocalMaximum,
     SpectralMoments,
     assign_pvalues,
     expected_num_maxima,
@@ -233,41 +232,43 @@ class TestExpectedNumMaxima:
             expected_num_maxima(SpectralMoments(-1.0, 1.0, 1.0), 100.0)
 
 
+def table(index, height, **columns) -> Candidates:
+    return Candidates(index=index, time=np.asarray(index, float), height=height, **columns)
+
+
 class TestAssignPvalues:
     def test_attaches_in_order(self):
         m = model_moments(gamma=1.5)
-        maxima = [
-            LocalMaximum(index=4, time=4.0, height=0.0),
-            LocalMaximum(index=9, time=9.0, height=1.0),
-        ]
-        out = assign_pvalues(maxima, m)
-        assert [mx.index for mx in out] == [4, 9]
-        assert out[0].p_value == pytest.approx(F_AT_ZERO, abs=1e-12)
-        assert out[0].rejected is None
+        out = assign_pvalues(table([4, 9], [0.0, 1.0]), m)
+        assert out.index.tolist() == [4, 9] and out.height.tolist() == [0.0, 1.0]
+        assert out.p_value[0] == pytest.approx(F_AT_ZERO, abs=1e-12)
+        assert out.rejected is None
         # Higher peaks get smaller p-values.
-        assert out[1].p_value < out[0].p_value
+        assert out.p_value[1] < out.p_value[0]
 
     def test_originals_untouched(self):
         m = model_moments()
-        maxima = [LocalMaximum(index=1, time=1.0, height=0.5)]
-        assign_pvalues(maxima, m)
-        assert maxima[0].p_value is None
+        maxima = table([1, 3], [0.5, 2.0], rejected=[True, False])
+        height = maxima.height.copy()
+        out = assign_pvalues(maxima, m)
+        assert maxima.p_value is None
+        assert out.height is maxima.height and np.array_equal(maxima.height, height)
+        assert out.rejected is maxima.rejected
 
     def test_empty(self):
-        assert assign_pvalues([], model_moments()) == []
+        out = assign_pvalues(table([], []), model_moments())
+        assert len(out) == 0 and out.p_value.dtype == float and out.p_value.size == 0
 
     def test_columns_in_one_call(self):
         m = model_moments(gamma=1.5)
-        table = Candidates(index=[4, 9], time=[4.0, 9.0], height=[0.0, 1.0])
-        out = assign_pvalues(table, m)
-        assert table.p_value is None
-        assert out.p_value.tolist() == [
-            mx.p_value for mx in assign_pvalues(list(table), m)
-        ]
+        heights = [0.0, 1.0, -0.5, 3.25]
+        out = assign_pvalues(table([4, 9, 12, 20], heights), m)
+        assert out.p_value.tolist() == [peak_height_right_cdf(m, u) for u in heights]
         assert out.p_value[0] == pytest.approx(F_AT_ZERO, abs=1e-12)
         assert out.rejected is None
 
     def test_floor_keeps_p_positive(self):
         m = model_moments(gamma=1.0)
-        out = assign_pvalues([LocalMaximum(index=0, time=0.0, height=100.0)], m)
-        assert 0.0 < out[0].p_value <= 1.0
+        out = assign_pvalues(table([0], [100.0]), m)
+        assert peak_height_right_cdf(m, 100.0) == 0.0
+        assert out.p_value.tolist() == [np.finfo(float).tiny]

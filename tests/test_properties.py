@@ -2,9 +2,9 @@
 
 ``hypothesis`` drives the maxima search against a brute-force loop, and
 seeded runs check the candidate columns of ``detect`` against the
-per-candidate definition they replace: one ``LocalMaximum`` per maximum,
-its p-value from the scalar height cdf, its flag from the decision's
-rejected indices. Truth accounting is checked against a per-peak loop
+per-candidate definition they replace: one row per maximum, its p-value
+from the scalar height cdf, its flag from the decision's rejected
+indices. Truth accounting is checked against a per-peak loop
 over the intervals, one row at a time and as the harness's block of
 rows; the block rejection rule is checked row by row against the
 one-family Bonferroni and BH it replaced. The height cdf and the
@@ -25,7 +25,6 @@ from peaksig import (
     DetectionResult,
     DetectorConfig,
     Grid,
-    LocalMaximum,
     RunCounts,
     NoiseSpec,
     SampledSeries,
@@ -83,10 +82,6 @@ def test_find_local_maxima_columns(values, boundary, spacing, origin):
     assert found.time.tolist() == [origin + spacing * i for i in want]
     assert found.height.tolist() == [float(values[i]) for i in want]
     assert found.p_value is None and found.rejected is None
-    assert list(found) == [
-        LocalMaximum(index=i, time=origin + spacing * i, height=float(values[i]))
-        for i in want
-    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,7 +112,8 @@ def seeded_series(seed: int) -> SampledSeries:
 
 
 def per_candidate_rows(series: SampledSeries, config: DetectorConfig, result):
-    """The candidates as the per-object pipeline defined them."""
+    """The candidates as the per-object pipeline defined them: one
+    ``(index, time, height, p_value, rejected)`` tuple per maximum."""
     values = series.values - series.values.mean()
     kernel = make_gaussian_kernel(config.gamma, config.kernel_truncation, series.spacing)
     smoothed = convolve(SampledSeries(values, series.spacing, series.origin), kernel)
@@ -130,7 +126,7 @@ def per_candidate_rows(series: SampledSeries, config: DetectorConfig, result):
         height = float(smoothed.values[i])
         p = max(float(peak_height_right_cdf(result.moments_used, height)), tiny)
         time = series.origin + series.spacing * i
-        rows.append(LocalMaximum(i, time, height, p, k in rejected))
+        rows.append((i, time, height, p, k in rejected))
     return rows
 
 
@@ -142,14 +138,11 @@ def test_detect_columns_match_per_candidate_definition(seed, method):
     result = detect(series, config)
     rows = per_candidate_rows(series, config, result)
     assert result.decision.num_tests == len(rows) > 0
-    assert any(mx.rejected for mx in rows)
+    assert any(row[4] for row in rows)
     c = result.candidates
-    assert list(result.maxima) == rows
-    for k, mx in enumerate(result.maxima):
-        assert (mx.index, mx.time, mx.height, mx.p_value, mx.rejected) == (
-            c.index[k], c.time[k], c.height[k], c.p_value[k], c.rejected[k]
-        )
-        assert type(mx.index) is int and type(mx.rejected) is bool
+    columns = (c.index, c.time, c.height, c.p_value, c.rejected)
+    assert list(zip(*(col.tolist() for col in columns))) == rows
+    assert [col.dtype for col in columns] == [np.int64] + [np.float64] * 3 + [np.bool_]
     assert np.flatnonzero(c.rejected).tolist() == sorted(result.decision.rejected_indices)
 
 
@@ -211,10 +204,23 @@ def tally_block(rows, regions) -> list[RunCounts]:
 
 
 def classify_rows(rows, regions):
-    """``classify`` as it read ``LocalMaximum`` rows."""
-    times = np.array([mx.time for mx in rows])
-    rejected = np.array([bool(mx.rejected) for mx in rows], dtype=bool)
+    """``classify`` as it read per-candidate ``(time, rejected)`` rows."""
+    times = np.array([t for t, _ in rows], dtype=float)
+    rejected = np.array([bool(r) for _, r in rows], dtype=bool)
     return classify_reference(times, rejected, regions)
+
+
+def pairs_table(pairs) -> Candidates:
+    """Candidates holding ``(time, rejected)`` pairs in the order given,
+    sorted by time or not."""
+    n = len(pairs)
+    return Candidates(
+        index=np.arange(n),
+        time=[t for t, _ in pairs],
+        height=np.zeros(n),
+        p_value=np.full(n, 0.5),
+        rejected=[r for _, r in pairs],
+    )
 
 
 REGIONS = truth_regions(SIGNAL, 3.0, window=(0.0, 1199.0))
@@ -225,27 +231,17 @@ BASE = detect(seeded_series(7), DetectorConfig(gamma=3.0, moments_source=NoiseSp
 def test_classify_columns_equals_rows(seed):
     config = DetectorConfig(gamma=3.0, method="bh", moments_source=NoiseSpec())
     result = detect(seeded_series(seed), config)
-    from_rows = with_candidates(result, Candidates.from_rows(result.maxima))
+    c = result.candidates
     counts = classify(result, REGIONS)
-    assert counts == classify(from_rows, REGIONS) == classify_rows(result.maxima, REGIONS)
+    assert counts == classify_rows(list(zip(c.time.tolist(), c.rejected.tolist())), REGIONS)
     assert counts.true_rejections > 0
 
 
 @given(st.lists(st.tuples(st.floats(-10.0, 1210.0), st.booleans()), max_size=30))
 def test_classify_columns_equals_rows_on_arbitrary_candidates(pairs):
     pairs = sorted(pairs)
-    rows = [
-        LocalMaximum(index=k, time=t, height=0.0, p_value=0.5, rejected=r)
-        for k, (t, r) in enumerate(pairs)
-    ]
-    columns = Candidates(
-        index=np.arange(len(pairs)),
-        time=[t for t, _ in pairs],
-        height=np.zeros(len(pairs)),
-        p_value=np.full(len(pairs), 0.5),
-        rejected=[r for _, r in pairs],
-    )
-    assert classify(with_candidates(BASE, columns), REGIONS) == classify_rows(rows, REGIONS)
+    columns = with_candidates(BASE, pairs_table(pairs))
+    assert classify(columns, REGIONS) == classify_rows(pairs, REGIONS)
 
 
 # Layouts on a (0, 60) window with centers off both ends, so that
@@ -283,11 +279,7 @@ def test_classify_matches_per_peak_loop(layout, data):
     pairs = block[0]
     want = classify_reference([t for t, _ in pairs], [r for _, r in pairs], regions)
     # Unsorted candidates through the public entry point.
-    rows = [
-        LocalMaximum(index=k, time=t, height=0.0, p_value=0.5, rejected=r)
-        for k, (t, r) in enumerate(pairs)
-    ]
-    assert classify(with_candidates(BASE, Candidates.from_rows(rows)), regions) == want
+    assert classify(with_candidates(BASE, pairs_table(pairs)), regions) == want
 
 
 # Moments at scale sigma (height) and ell (time), with irregularity
