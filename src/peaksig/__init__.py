@@ -21,7 +21,6 @@ from .model import (
 )
 from .maxima import Candidates, find_local_maxima, local_max_indices
 from .nulldist import (
-    GaussianModelParams,
     InvalidMomentsError,
     SpectralMoments,
     assign_pvalues,
@@ -99,7 +98,6 @@ __all__ = [
     "Candidates",
     "find_local_maxima",
     "local_max_indices",
-    "GaussianModelParams",
     "InvalidMomentsError",
     "SpectralMoments",
     "assign_pvalues",

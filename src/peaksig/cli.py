@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .io import (
 from .model import NoiseSpec, SignalSpec
 from .moments_est import ESTIMATORS
 from .nulldist import (
-    GaussianModelParams,
     InvalidMomentsError,
     SpectralMoments,
     gaussian_model_moments,
@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("bonferroni", "bh"), help="testing procedure")
     p.add_argument(
         "--moments",
+        dest="moments_source",
         choices=tuple(sorted(ESTIMATORS)),
         help="moment estimator when moments are not supplied directly",
     )
@@ -99,15 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", type=float, help="known second spectral moment")
     p.add_argument("--lambda4", type=float, help="known fourth spectral moment")
     p.add_argument(
-        "--noise-sigma", type=float, help="known pre-smoothing noise level"
+        "--noise-sigma", dest="sigma", type=float, help="known pre-smoothing noise level"
     )
     p.add_argument(
-        "--noise-nu", type=float, help="known noise autocorrelation bandwidth"
+        "--noise-nu", dest="nu", type=float, help="known noise autocorrelation bandwidth"
     )
     p.add_argument("--kernel-truncation", type=float, help="kernel support, in bandwidths")
     p.add_argument(
         "--no-subtract-mean",
-        action="store_true",
+        dest="subtract_mean",
+        action="store_false",
+        default=None,
         help="skip centering the series before smoothing",
     )
     _add_output_args(p)
@@ -115,15 +118,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("simulate", help="run a Monte Carlo study")
     p.add_argument("--config", required=True, help="JSON study description")
-    p.add_argument("--seed", type=int, required=True, help="base seed for noise draws")
+    p.add_argument(
+        "--seed", dest="base_seed", type=int, required=True,
+        help="base seed for noise draws",
+    )
     p.add_argument("--replications", type=int, help="override replication count")
-    p.add_argument("--gammas", help="override bandwidth grid, comma separated")
+    p.add_argument(
+        "--gammas", type=_parse_list, help="override bandwidth grid, comma separated"
+    )
     p.add_argument("--alpha", type=float, help="override error budget")
-    p.add_argument("--methods", help="override procedures, comma separated")
+    p.add_argument(
+        "--methods",
+        type=lambda text: _parse_list(text, str),
+        help="override procedures, comma separated",
+    )
     p.add_argument(
         "--workers",
         type=int,
-        help="worker processes (default: PEAKSIG_WORKERS or 1)",
+        help="worker processes (default: the config's workers, else "
+        "PEAKSIG_WORKERS, else 1)",
     )
     _add_output_args(p)
     p.set_defaults(func=_cmd_simulate)
@@ -177,62 +190,92 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
+# settings: the dataclass fields are the schema
+
+
+def _load_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return raw
+
+
+def _refuse_unknown(block: dict, names, where: str) -> None:
+    unknown = set(block) - set(names)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+# Config fields spelled as nested JSON objects, by their annotation.
+_NESTED = {cls.__name__: cls for cls in (SignalSpec, NoiseSpec, Grid)}
+_FLOAT_TYPES = ("float", "float | None")
+
+
+def _from_json(cls, block, where: str):
+    """``cls`` from the JSON object ``block``: keys must be fields, fields
+    without a default must be given, nested specs are read alike, and float
+    fields as floats, so a JSON ``1`` is echoed as ``1.0``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    _refuse_unknown(block, _names(cls), where)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in block:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{where} missing key: {f.name!r}")
+            continue
+        value = block[f.name]
+        if f.type in _NESTED:
+            value = _from_json(_NESTED[f.type], value, f.name)
+        elif f.type in _FLOAT_TYPES and value is not None:
+            value = float(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+_TRIPLE = _names(SpectralMoments)
+# The moment-source settings; each is also its flag's destination.
+_SOURCE_KEYS = _TRIPLE | _names(NoiseSpec)
+
+
+def _moments_source(given: dict):
+    """A :class:`SpectralMoments` from ``sigma2``/``lambda2``/``lambda4``, a
+    :class:`NoiseSpec` from ``sigma``/``nu`` (its defaults fill the one
+    left out), or ``None`` from an empty ``given``."""
+    if not given:
+        return None
+    _refuse_unknown(given, _SOURCE_KEYS, "moments_source")
+    if _TRIPLE & set(given) and set(given) != _TRIPLE:
+        raise ValueError(
+            "sigma2, lambda2, lambda4 must be given together, without sigma or nu"
+        )
+    cls = SpectralMoments if _TRIPLE & set(given) else NoiseSpec
+    return cls(**{k: float(v) for k, v in given.items()})
+
+
+def _given(args, names) -> dict:
+    """The flags, by destination among ``names``, that were given."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+
+
+# ---------------------------------------------------------------------------
 # detect
 
 
-def _moments_source_from_json(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        if {"sigma2", "lambda2", "lambda4"} <= set(value):
-            return SpectralMoments(
-                float(value["sigma2"]), float(value["lambda2"]), float(value["lambda4"])
-            )
-        if "sigma" in value:
-            return NoiseSpec(float(value["sigma"]), float(value.get("nu", 0.0)))
-    raise ValueError(
-        "moments_source must be an estimator name, a sigma2/lambda2/lambda4 "
-        "object, or a sigma/nu object"
-    )
-
-
 def _detector_config(args) -> DetectorConfig:
-    settings: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("detector config must be a JSON object")
-        known = {"gamma", "alpha", "method", "moments_source", "kernel_truncation", "subtract_mean"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown detector config keys: {sorted(unknown)}")
-        settings.update(raw)
-        if "moments_source" in settings:
-            settings["moments_source"] = _moments_source_from_json(
-                settings["moments_source"]
-            )
-    triple = (args.sigma2, args.lambda2, args.lambda4)
-    if any(v is not None for v in triple):
-        if any(v is None for v in triple):
-            raise ValueError("--sigma2, --lambda2, --lambda4 must be given together")
-        settings["moments_source"] = SpectralMoments(*triple)
-    elif args.noise_sigma is not None:
-        settings["moments_source"] = NoiseSpec(
-            args.noise_sigma, args.noise_nu if args.noise_nu is not None else 0.0
-        )
-    elif args.moments is not None:
-        settings["moments_source"] = args.moments
-    if args.gamma is not None:
-        settings["gamma"] = args.gamma
-    if args.alpha is not None:
-        settings["alpha"] = args.alpha
-    if args.method is not None:
-        settings["method"] = args.method
-    if args.kernel_truncation is not None:
-        settings["kernel_truncation"] = args.kernel_truncation
-    if args.no_subtract_mean:
-        settings["subtract_mean"] = False
+    settings = _load_json_object(args.config, "detector config") if args.config else {}
+    _refuse_unknown(settings, _names(DetectorConfig), "detector config")
+    if isinstance(settings.get("moments_source"), dict):
+        settings["moments_source"] = _moments_source(settings["moments_source"])
+    settings.update(_given(args, _names(DetectorConfig)))
+    source = _moments_source(_given(args, _SOURCE_KEYS))
+    if source is not None:
+        settings["moments_source"] = source
     if "gamma" not in settings:
         raise ValueError("a smoothing bandwidth is required (--gamma or config file)")
     return DetectorConfig(**settings)
@@ -254,79 +297,20 @@ def _cmd_detect(args) -> int:
 # simulate
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+def _parse_list(text: str, cast=float) -> tuple:
+    return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
 
 
 def _sim_config(args) -> SimConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("simulation config must be a JSON object")
-    overrides: dict = {"base_seed": args.seed}
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.gammas is not None:
-        overrides["gammas"] = _parse_float_list(args.gammas)
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.methods is not None:
-        overrides["methods"] = tuple(
-            part.strip() for part in args.methods.split(",") if part.strip()
-        )
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("PEAKSIG_WORKERS", "1"))
-    overrides["workers"] = workers
-    shared = {
-        key: raw[key]
-        for key in (
-            "gammas",
-            "alpha",
-            "methods",
-            "replications",
-            "base_seed",
-            "kernel_truncation",
-            "workers",
-        )
-        if key in raw
-    }
-    if "gammas" in shared:
-        shared["gammas"] = tuple(float(g) for g in shared["gammas"])
-    if "methods" in shared:
-        shared["methods"] = tuple(shared["methods"])
-    if "design" in raw:
-        unknown = set(raw) - set(shared) - {"design"}
-        if unknown:
-            raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
-        config = standard_design(**raw["design"], **shared)
-    else:
-        try:
-            sig = raw["signal"]
-            peaks = tuple((float(a), float(t)) for a, t in sig["peaks"])
-            signal = SignalSpec(
-                peaks,
-                float(sig["peak_scale"]),
-                float(sig.get("peak_truncation", 2.0)),
-            )
-            noi = raw["noise"]
-            noise = NoiseSpec(float(noi["sigma"]), float(noi.get("nu", 0.0)))
-            gr = raw["grid"]
-            grid = Grid(
-                int(gr["length"]),
-                float(gr.get("spacing", 1.0)),
-                float(gr.get("origin", 0.0)),
-            )
-            # The bandwidth grid may arrive via --gammas instead of the file.
-            shared.setdefault("gammas", overrides.get("gammas", ()))
-        except KeyError as exc:
-            raise ValueError(f"simulation config missing key: {exc}") from None
-        if "peak_spacing" in raw:
-            shared["peak_spacing"] = float(raw["peak_spacing"])
-        config = SimConfig(signal=signal, noise=noise, grid=grid, **shared)
-    import dataclasses
-
-    return dataclasses.replace(config, **overrides)
+    settings = _load_json_object(args.config, "simulation config")
+    settings.update(_given(args, _names(SimConfig)))
+    design = settings.pop("design", None)
+    if design is not None:
+        settings = {**design, **settings}
+    settings.setdefault("workers", int(os.environ.get("PEAKSIG_WORKERS", "1")))
+    if design is None:
+        return _from_json(SimConfig, settings, "simulation config")
+    return standard_design(**settings)  # its signature refuses unknown keys
 
 
 def _cmd_simulate(args) -> int:
@@ -356,11 +340,7 @@ def _cmd_estimate(args) -> int:
         "estimator": estimate.method,
         "gamma": args.gamma,
         "num_samples": len(series) - 2 * series.boundary,
-        "moments": {
-            "sigma2": estimate.moments.sigma2,
-            "lambda2": estimate.moments.lambda2,
-            "lambda4": estimate.moments.lambda4,
-        },
+        "moments": asdict(estimate.moments),
         "degenerate": estimate.degenerate,
         "diagnostics": estimate.diagnostics,
     }
@@ -381,19 +361,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_pvalue_table(args) -> int:
-    triple = (args.sigma2, args.lambda2, args.lambda4)
-    if any(v is not None for v in triple):
-        if any(v is None for v in triple):
-            raise ValueError("--sigma2, --lambda2, --lambda4 must be given together")
-        moments = SpectralMoments(*triple)
+    source = _moments_source(_given(args, _SOURCE_KEYS))
+    if isinstance(source, SpectralMoments):
+        moments = source
     elif args.gamma is not None:
-        moments = gaussian_model_moments(
-            GaussianModelParams(
-                sigma=args.sigma if args.sigma is not None else 1.0,
-                nu=args.nu if args.nu is not None else 0.0,
-                gamma=args.gamma,
-            )
-        )
+        moments = gaussian_model_moments(source or NoiseSpec(), args.gamma)
     else:
         raise ValueError(
             "supply moments directly (--sigma2/--lambda2/--lambda4) or via the "
@@ -403,7 +375,7 @@ def _cmd_pvalue_table(args) -> int:
     if args.pvalues is not None:
         if args.heights is not None or args.hmin is not None or args.hmax is not None:
             raise ValueError("--pvalues cannot be combined with a height grid")
-        ps = _parse_float_list(args.pvalues)
+        ps = _parse_list(args.pvalues)
         if not ps:
             raise ValueError("--pvalues parsed to an empty list")
         us = [peak_height_right_cdf_inverse(moments, p) for p in ps]
@@ -411,7 +383,7 @@ def _cmd_pvalue_table(args) -> int:
         lines += [f"{p!r},{u!r}" for p, u in zip(ps, us)]
     else:
         if args.heights is not None:
-            heights = np.array(_parse_float_list(args.heights))
+            heights = np.array(_parse_list(args.heights))
             if heights.size == 0:
                 raise ValueError("--heights parsed to an empty list")
         elif args.hmin is not None and args.hmax is not None:

@@ -27,7 +27,6 @@ from .moments_est import (
 )
 from .mtp import _METHODS
 from .nulldist import (
-    GaussianModelParams,
     InvalidMomentsError,
     SpectralMoments,
     assign_pvalues,
@@ -136,9 +135,7 @@ def _resolve_moments(
     if isinstance(src, SpectralMoments):
         return src
     if isinstance(src, NoiseSpec):
-        return gaussian_model_moments(
-            GaussianModelParams(sigma=src.sigma, nu=src.nu, gamma=config.gamma)
-        )
+        return gaussian_model_moments(src, config.gamma)
     estimate = estimate_smoothed_moments(smoothed, src, config.gamma)
     if estimate.degenerate:
         raise InvalidMomentsError(

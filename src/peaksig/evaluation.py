@@ -31,15 +31,13 @@ import numpy as np
 
 from .detector import DetectionResult
 from .maxima import local_max_indices
-from .model import NoiseSpec, SignalSpec, synthesize_noise, synthesize_signal
-from .mtp import _METHODS, reject_rows
-from .nulldist import (
-    GaussianModelParams,
-    gaussian_model_moments,
-    peak_height_right_cdf,
+from .model import (
+    NOISE_KERNEL_TRUNCATION, NoiseSpec, SignalSpec, synthesize_noise, synthesize_signal
 )
+from .mtp import _METHODS, reject_rows
+from .nulldist import gaussian_model_moments, peak_height_right_cdf
 from .series import Grid, SampledSeries
-from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, make_gaussian_kernel
+from .smoothing import DEFAULT_KERNEL_TRUNCATION, _half_width, convolve, make_gaussian_kernel
 
 __all__ = [
     "DEFAULT_BANDWIDTH_GRID",
@@ -277,6 +275,13 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # detect's rule for every kernel, so a huge bandwidth is refused, not allocated.
+        spacing = self.grid.spacing
+        widths = [_half_width(g, self.kernel_truncation, spacing) for g in self.gammas]
+        if self.noise.nu > 0:
+            widths.append(_half_width(self.noise.nu, NOISE_KERNEL_TRUNCATION, spacing))
+        if self.grid.length < 2 * max(widths) + 3:
+            raise ValueError("grid too short for the requested kernel")
 
 
 @dataclass(frozen=True)
@@ -335,12 +340,7 @@ def _sim_context(config: SimConfig):
     padded = Grid(grid.length + 2 * margin, delta, grid.origin - margin * delta)
     window = (grid.origin, grid.origin + (grid.length - 1) * delta)
     signal_values = synthesize_signal(config.signal, padded).values
-    moments = [
-        gaussian_model_moments(
-            GaussianModelParams(config.noise.sigma, config.noise.nu, g)
-        )
-        for g in config.gammas
-    ]
+    moments = [gaussian_model_moments(config.noise, g) for g in config.gammas]
     regions = [
         truth_regions(config.signal, g, config.kernel_truncation, window)
         for g in config.gammas
@@ -524,8 +524,5 @@ def matched_filter_objective(
     ``1 / sqrt(2 pi (peak_scale^2 + gamma^2))``; the noise sd follows
     the closed-form moments at combined bandwidth ``xi``.
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError("gamma must be positive")
-    params = GaussianModelParams(sigma=sigma, nu=nu, gamma=gamma)
     height = 1.0 / math.sqrt(2.0 * math.pi * (peak_scale**2 + gamma**2))
-    return height / math.sqrt(gaussian_model_moments(params).sigma2)
+    return height / math.sqrt(gaussian_model_moments(NoiseSpec(sigma, nu), gamma).sigma2)

@@ -129,8 +129,8 @@ def estimate_moments_mad(series: SampledSeries) -> MomentEstimate:
 
 def estimate_moments_var(series: SampledSeries) -> MomentEstimate:
     """Sample-variance moments from the series and its differences."""
-    if len(series) < 3:
-        raise ValueError("need at least 3 samples")
+    if len(series) < 4:
+        raise ValueError("need at least 4 samples")
     dx = difference(series)
     ddx = difference(dx)
     return _finalize(

@@ -17,9 +17,10 @@ the Rice formula ``E[#maxima on length L] = L / (2 pi) sqrt(lambda4 /
 lambda2)``. ``Phi`` is a port of the Cephes ``ndtr``
 (``peaksig._normal``), bit-identical to ``scipy.special.ndtr``.
 
-For white noise of scale ``sigma`` smoothed with a Gaussian kernel of
-bandwidth ``gamma`` (noise bandwidth ``nu``, combined ``xi =
-sqrt(gamma^2 + nu^2)``), the moments are available in closed form:
+For the noise of a ``NoiseSpec(sigma, nu)`` (scale ``sigma``, noise
+bandwidth ``nu``, 0 for white noise) smoothed with a Gaussian kernel of
+bandwidth ``gamma``, combined bandwidth ``xi = sqrt(gamma^2 + nu^2)``,
+:func:`gaussian_model_moments` gives the moments in closed form:
 
     sigma2  = sigma^2 / (2 sqrt(pi) xi)
     lambda2 = sigma^2 / (4 sqrt(pi) xi^3)
@@ -35,11 +36,11 @@ import numpy as np
 
 from ._normal import log_ndtr, ndtr
 from .maxima import Candidates
+from .model import NoiseSpec
 
 __all__ = [
     "InvalidMomentsError",
     "SpectralMoments",
-    "GaussianModelParams",
     "gaussian_model_moments",
     "peak_height_right_cdf",
     "peak_height_right_cdf_inverse",
@@ -92,33 +93,12 @@ class SpectralMoments:
         )
 
 
-@dataclass(frozen=True)
-class GaussianModelParams:
-    """Gaussian autocorrelation model: noise scale ``sigma``, noise
-    bandwidth ``nu`` (0 for white noise), smoothing bandwidth ``gamma``."""
-
-    sigma: float = 1.0
-    nu: float = 0.0
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive")
-        if not (np.isfinite(self.nu) and self.nu >= 0):
-            raise ValueError("nu must be >= 0")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be positive")
-
-    @property
-    def xi(self) -> float:
-        """Combined bandwidth of the smoothed noise."""
-        return math.hypot(self.gamma, self.nu)
-
-
-def gaussian_model_moments(params: GaussianModelParams) -> SpectralMoments:
-    """Closed-form spectral moments of the smoothed Gaussian model."""
-    xi = params.xi
-    s2 = params.sigma**2
+def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
+    """Closed-form spectral moments of ``noise`` smoothed at bandwidth ``gamma``."""
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive")
+    xi = math.hypot(gamma, noise.nu)
+    s2 = noise.sigma**2
     return SpectralMoments(
         sigma2=s2 / (2.0 * _SQRT_PI * xi),
         lambda2=s2 / (4.0 * _SQRT_PI * xi**3),

@@ -22,7 +22,7 @@ from peaksig import (
     synthesize_noise,
     synthesize_signal,
 )
-from peaksig.nulldist import GaussianModelParams, gaussian_model_moments
+from peaksig.nulldist import gaussian_model_moments
 from peaksig.maxima import local_max_indices
 
 
@@ -77,7 +77,7 @@ def null_maxima_pool():
     kernel = make_gaussian_kernel(3.0, 4.0, 1.0)
     margin = kernel.half_width
     grid = Grid(100_000 + 2 * margin, 1.0, 0.0)
-    moments = gaussian_model_moments(GaussianModelParams(1.0, 0.0, 3.0))
+    moments = gaussian_model_moments(NoiseSpec(1.0, 0.0), 3.0)
     total = 0
     pools = []
     for seed in range(20):

@@ -15,7 +15,7 @@ from scipy.stats import kstest
 
 from peaksig import (
     DEFAULT_BANDWIDTH_GRID,
-    GaussianModelParams,
+    NoiseSpec,
     bh,
     gaussian_model_moments,
     matched_filter_objective,
@@ -34,7 +34,7 @@ def test_criterion_01_height_cdf_anchor():
     """F(0) = 1/2 + 1/(2 sqrt 3) to 1e-12 at every bandwidth."""
     want = 0.5 + 0.5 / math.sqrt(3.0)
     for xi in (0.5, 1.5, 3.0):
-        m = gaussian_model_moments(GaussianModelParams(sigma=1.0, nu=0.0, gamma=xi))
+        m = gaussian_model_moments(NoiseSpec(sigma=1.0, nu=0.0), xi)
         assert peak_height_right_cdf(m, 0.0) == pytest.approx(want, abs=1e-12)
 
 
@@ -53,7 +53,7 @@ def test_criterion_02_quadrature_moments():
         def w2(t):
             return (t * t / xi**4 - 1.0 / xi**2) * w(t)
 
-        m = gaussian_model_moments(GaussianModelParams(sigma=1.0, nu=0.0, gamma=xi))
+        m = gaussian_model_moments(NoiseSpec(sigma=1.0, nu=0.0), xi)
         for fn, want in ((w, m.sigma2), (w1, m.lambda2), (w2, m.lambda4)):
             got, _ = quad(lambda t: fn(t) ** 2, -np.inf, np.inf)
             assert got == pytest.approx(want, rel=1e-8), xi

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ def write_noise_file(path, n=400, seed=2):
     series = synthesize_noise(NoiseSpec(), Grid(n), seed=seed)
     path.write_text("".join(f"{v!r}\n" for v in series.values.tolist()))
     return series
+
+
+def explicit_study():
+    """An explicit-layout study file, with JSON integers in float fields."""
+    return {
+        "signal": {"peaks": [[10, 50], [8, 120]], "peak_scale": 3, "peak_truncation": 2},
+        "noise": {"sigma": 1, "nu": 1},
+        "grid": {"length": 200, "spacing": 1, "origin": 0},
+        "peak_spacing": 70,
+        "gammas": [3],
+        "replications": 4,
+    }
+
+
+def parsed(argv):
+    return cli.build_parser().parse_args(argv)
 
 
 class TestLoadSeriesPlain:
@@ -273,6 +290,29 @@ def test_huge_bandwidth_refused_before_any_kernel(tmp_path, capsys, command, gam
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize(
+    "study, flags",
+    [
+        ({"design": {"num_peaks": 2}, "gammas": [3.0]}, ["--gammas", "1e9"]),
+        ({"design": {"num_peaks": 2, "nu": 1e9}, "gammas": [3.0]}, []),
+    ],
+    ids=["gamma", "nu"],
+)
+def test_huge_simulation_bandwidth_refused_before_any_kernel(tmp_path, capsys, study, flags):
+    # Either kernel, 8e9 taps wide, and the padded draws would need ~60 GiB.
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(study))
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "grid too short for the requested kernel" in capsys.readouterr().err
+    assert peak < 8 << 20
+
+
 class TestDetectionReports:
     def test_json_roundtrip_is_exact(self, tmp_path):
         result, _ = small_result()
@@ -416,6 +456,45 @@ class TestCliDetect:
         cfg.write_text(json.dumps({"gamma": 3.0, "bandwidth": 2.0}))
         assert main(["detect", str(src), "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ({"sigma": 1, "Nu": 2}, "unknown moments_source keys: ['Nu']"),
+            ({"sigma2": 0.1, "lambda2": 0.01}, "must be given together"),
+            ({"sigma2": 0.1, "lambda2": 0.01, "lambda4": 0.002, "sigma": 1}, "together"),
+        ],
+        ids=["typo", "incomplete", "mixed"],
+    )
+    def test_moments_source_refused(self, tmp_path, capsys, monkeypatch, source, message):
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 3.0, "moments_source": source}))
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["detect", str(src), "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--noise-sigma", "2", "--noise-nu", "0.5"],
+            ["--sigma2", "0.094", "--lambda2", "0.0052", "--lambda4", "0.00087"],
+            ["--moments", "var"],
+        ],
+        ids=["noise", "moments", "estimator"],
+    )
+    def test_report_config_rebuilds_config(self, tmp_path, source):
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        argv = ["detect", str(src), "--gamma", "3", "--method", "bonferroni",
+                "--kernel-truncation", "3.5", "--no-subtract-mean", *source]
+        first = tmp_path / "first.json"
+        assert main([*argv, "--output", str(first)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(load_detection_report(first)["config"]))
+        rebuilt = cli._detector_config(parsed(["detect", str(src), "--config", str(cfg)]))
+        assert rebuilt == cli._detector_config(parsed(argv))
+
     def test_missing_gamma(self, tmp_path):
         src = tmp_path / "series.txt"
         write_noise_file(src)
@@ -552,6 +631,74 @@ class TestCliSimulate:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "no.json"), "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("layout", ["design", "explicit"])
+    def test_workers_precedence(self, tmp_path, monkeypatch, layout):
+        # --workers, then the file's workers, then PEAKSIG_WORKERS, then 1.
+        def workers(in_file, flag, env):
+            study = {"design": {"num_peaks": 2}} if layout == "design" else explicit_study()
+            if in_file is not None:
+                study["workers"] = in_file
+            cfg = tmp_path / "study.json"
+            cfg.write_text(json.dumps(study))
+            monkeypatch.delenv("PEAKSIG_WORKERS", raising=False)
+            if env is not None:
+                monkeypatch.setenv("PEAKSIG_WORKERS", env)
+            argv = ["simulate", "--config", str(cfg), "--seed", "1", "--gammas", "3"]
+            if flag is not None:
+                argv += ["--workers", flag]
+            return cli._sim_config(parsed(argv)).workers
+
+        assert workers(None, None, None) == 1
+        assert workers(None, None, "3") == 3
+        assert workers(2, None, "3") == 2
+        assert workers(2, "4", "3") == 4
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [(None, "replicatons"), ("signal", "peak_scal"), ("noise", "Nu"), ("grid", "lenght")],
+    )
+    def test_unknown_key_refused(self, tmp_path, capsys, monkeypatch, block, key):
+        study = explicit_study()
+        (study if block is None else study[block])[key] = 5
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key", [(None, "signal"), ("grid", "length")])
+    def test_missing_key_named(self, tmp_path, capsys, monkeypatch, block, key):
+        study = explicit_study()
+        del (study if block is None else study[block])[key]
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert f"missing key: '{key}'" in capsys.readouterr().err
+
+    def test_report_config_rebuilds_study(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PEAKSIG_WORKERS", raising=False)
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({**explicit_study(), "workers": 2}))
+        first = tmp_path / "first.json"
+        assert main(["simulate", "--config", str(cfg), "--seed", "9", "--output", str(first)]) == 0
+        report = load_sim_report(first)
+        echoed = report["config"]
+        # JSON integers in float fields come back as floats.
+        signal, noise, grid = echoed["signal"], echoed["noise"], echoed["grid"]
+        floats = [signal["peak_scale"], signal["peak_truncation"], noise["sigma"],
+                  noise["nu"], grid["spacing"], grid["origin"], echoed["peak_spacing"]]
+        assert all(isinstance(v, float) for v in floats)
+        back = tmp_path / "back.json"
+        back.write_text(json.dumps(echoed))
+        argv = ["simulate", "--config", str(back), "--seed", str(report["seed"])]
+        config = cli._sim_config(parsed(argv))
+        assert config == cli._sim_config(parsed(["simulate", "--config", str(cfg), "--seed", "9"]))
+        assert (config.workers, config.noise.nu) == (2, 1.0)
+        second = tmp_path / "second.json"
+        assert main([*argv, "--output", str(second)]) == 0
+        assert load_sim_report(second)["cells"] == report["cells"]
+
 
 class TestCliEstimateMoments:
     def test_smooth_then_estimate(self, tmp_path, capsys):
@@ -572,6 +719,18 @@ class TestCliEstimateMoments:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["degenerate"] is True
+
+    def test_var_on_three_interior_samples(self, tmp_path, capsys):
+        # 27 samples smoothed at gamma 3 (half-width 12) leave 3 interior ones.
+        src = tmp_path / "series.txt"
+        write_noise_file(src, n=27)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate-moments", str(src), "--gamma", "3", "--estimator", "var"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "need at least 4 samples" in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_acf_needs_window_or_gamma(self, tmp_path, monkeypatch):
         src = tmp_path / "series.txt"
@@ -607,14 +766,13 @@ class TestCliPvalueTable:
         assert ps == sorted(ps, reverse=True)
 
     def test_inverse_table_roundtrips(self, capsys):
-        from peaksig import GaussianModelParams, gaussian_model_moments, \
-            peak_height_right_cdf
+        from peaksig import gaussian_model_moments, peak_height_right_cdf
 
         code = main(["pvalue-table", "--gamma", "3", "--pvalues", "0.05,0.001"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "p_value,height"
-        m = gaussian_model_moments(GaussianModelParams(gamma=3.0))
+        m = gaussian_model_moments(NoiseSpec(), 3.0)
         for line, want in zip(lines[1:], (0.05, 0.001)):
             p, u = (float(x) for x in line.split(","))
             assert p == want

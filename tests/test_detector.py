@@ -16,7 +16,6 @@ from peaksig import (
     detect,
     find_local_maxima,
     gaussian_model_moments,
-    GaussianModelParams,
     synthesize_dataset,
     synthesize_noise,
 )
@@ -116,7 +115,7 @@ class TestInvariances:
     def test_scale_equivariance_with_matching_moments(self):
         series = noise_series(2000, seed=6)
         scaled = SampledSeries(4.0 * series.values, series.spacing, series.origin)
-        base_m = gaussian_model_moments(GaussianModelParams(sigma=1.0, gamma=3.0))
+        base_m = gaussian_model_moments(NoiseSpec(sigma=1.0), 3.0)
         a = detect(
             series, DetectorConfig(gamma=3.0, method="bh", moments_source=base_m)
         )
@@ -150,14 +149,14 @@ class TestMomentSources:
 
     def test_noise_spec_gives_closed_form(self):
         result = detect(noise_series(1000, seed=9), KNOWN)
-        want = gaussian_model_moments(GaussianModelParams(sigma=1.0, gamma=3.0))
+        want = gaussian_model_moments(NoiseSpec(sigma=1.0), 3.0)
         assert result.moments_used == want
 
     @pytest.mark.parametrize("name", ["mad", "var", "acf", "crossing"])
     def test_estimator_sources(self, name):
         series = noise_series(20_000, seed=10)
         result = detect(series, DetectorConfig(gamma=3.0, moments_source=name))
-        want = gaussian_model_moments(GaussianModelParams(sigma=1.0, gamma=3.0))
+        want = gaussian_model_moments(NoiseSpec(sigma=1.0), 3.0)
         # Estimates land near the closed-form moments on clean noise.
         assert result.moments_used.sigma2 == pytest.approx(want.sigma2, rel=0.3)
         assert result.moments_used.validate()

@@ -149,6 +149,13 @@ class TestMadAndVarOnNoise:
         assert var.lambda2 == pytest.approx(mad.lambda2, rel=0.02)
         assert var.lambda4 == pytest.approx(mad.lambda4, rel=0.02)
 
+    def test_var_needs_four_samples(self):
+        # Three samples leave one second difference, whose ddof=1 variance
+        # is 0/0; the estimator refuses them as crossing does.
+        with pytest.raises(ValueError, match="need at least 4 samples"):
+            estimate_moments_var(SampledSeries([1.0, 2.0, 0.5]))
+        assert not estimate_moments_var(SampledSeries([1.0, 2.0, 0.5, 3.0])).degenerate
+
     def test_grid_moments_sit_below_continuous(self):
         # Difference quotients lose curvature relative to the continuum.
         assert GRID_LAMBDA2 < TRUE_LAMBDA2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from peaksig import (
-    GaussianModelParams,
+    NoiseSpec,
     asymptotic_bh_threshold,
     bh,
     bonferroni,
@@ -143,7 +143,7 @@ class TestBh:
 
 class TestDeterministicThreshold:
     # Design used throughout: white noise, sigma = 1, gamma = 3, L = 2000.
-    MOMENTS = gaussian_model_moments(GaussianModelParams(sigma=1.0, nu=0.0, gamma=3.0))
+    MOMENTS = gaussian_model_moments(NoiseSpec(sigma=1.0, nu=0.0), 3.0)
 
     def test_pinned_value(self):
         u = bonferroni_deterministic_threshold(self.MOMENTS, 2000.0, 0.05)
@@ -173,7 +173,7 @@ class TestDeterministicThreshold:
 
 
 class TestApproxThreshold:
-    MOMENTS = gaussian_model_moments(GaussianModelParams(sigma=1.0, nu=0.0, gamma=3.0))
+    MOMENTS = gaussian_model_moments(NoiseSpec(sigma=1.0, nu=0.0), 3.0)
 
     def test_pinned_value(self):
         u = bonferroni_approx_threshold(self.MOMENTS, 2000.0, 0.05)
@@ -195,7 +195,7 @@ class TestApproxThreshold:
 
 
 class TestAsymptoticBhThreshold:
-    MOMENTS = gaussian_model_moments(GaussianModelParams(sigma=1.0, nu=0.0, gamma=3.0))
+    MOMENTS = gaussian_model_moments(NoiseSpec(sigma=1.0, nu=0.0), 3.0)
 
     def test_pinned_value(self):
         u = asymptotic_bh_threshold(self.MOMENTS, 0.01, 0.05)
@@ -228,7 +228,7 @@ class TestAsymptoticBhThreshold:
 
 
 class TestHeightThresholdField:
-    MOMENTS = gaussian_model_moments(GaussianModelParams(sigma=1.0, nu=0.0, gamma=3.0))
+    MOMENTS = gaussian_model_moments(NoiseSpec(sigma=1.0, nu=0.0), 3.0)
 
     def test_none_without_moments(self):
         assert bonferroni([0.01], 0.05).height_threshold is None

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from peaksig import (
-    GaussianModelParams,
     InvalidMomentsError,
     Candidates,
+    NoiseSpec,
     SpectralMoments,
     assign_pvalues,
     expected_num_maxima,
@@ -24,7 +24,7 @@ F_AT_ZERO = 0.5 + 0.5 / math.sqrt(3.0)
 
 
 def model_moments(sigma=1.0, nu=0.0, gamma=1.0):
-    return gaussian_model_moments(GaussianModelParams(sigma=sigma, nu=nu, gamma=gamma))
+    return gaussian_model_moments(NoiseSpec(sigma=sigma, nu=nu), gamma)
 
 
 class TestGaussianModelMoments:
@@ -64,11 +64,12 @@ class TestGaussianModelMoments:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            GaussianModelParams(sigma=0.0)
+            gaussian_model_moments(NoiseSpec(sigma=0.0), 3.0)
         with pytest.raises(ValueError):
-            GaussianModelParams(nu=-1.0)
-        with pytest.raises(ValueError):
-            GaussianModelParams(gamma=0.0)
+            gaussian_model_moments(NoiseSpec(nu=-1.0), 3.0)
+        for gamma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                gaussian_model_moments(NoiseSpec(), gamma)
 
 
 class TestSpectralMoments:
