@@ -72,9 +72,7 @@ from .io import (
     SeriesFormatError,
     detection_report_dict,
     file_sha256,
-    load_detection_report,
     load_series,
-    load_sim_report,
     sim_report_dict,
     write_detection_report,
     write_sim_report,
@@ -143,9 +141,7 @@ __all__ = [
     "SeriesFormatError",
     "detection_report_dict",
     "file_sha256",
-    "load_detection_report",
     "load_series",
-    "load_sim_report",
     "sim_report_dict",
     "write_detection_report",
     "write_sim_report",

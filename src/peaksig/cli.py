@@ -21,7 +21,7 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
-from .detector import DetectorConfig, _kernel_for, detect, estimate_smoothed_moments
+from .detector import DetectorConfig, _smooth, detect, estimate_smoothed_moments
 from .evaluation import SimConfig, run_simulation, standard_design
 from .io import (
     SeriesFormatError,
@@ -40,7 +40,6 @@ from .nulldist import (
     peak_height_right_cdf_inverse,
 )
 from .series import Grid
-from .smoothing import convolve
 
 __all__ = ["main", "entry_point"]
 
@@ -332,7 +331,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError("the acf estimator needs --lag-window or --gamma")
     series = load_series(args.input, args.format, args.spacing, args.origin)
     if args.gamma is not None:
-        series = convolve(series, _kernel_for(series, args.gamma))
+        series, _ = _smooth(series, args.gamma)
     estimate = estimate_smoothed_moments(
         series, args.estimator, args.gamma, args.lag_window
     )

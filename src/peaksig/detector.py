@@ -96,12 +96,16 @@ class DetectionResult:
             raise ValueError("detection candidates need p-value and rejection columns")
 
 
-def _kernel_for(series, gamma, truncation=DEFAULT_KERNEL_TRUNCATION):
-    """The Gaussian kernel to smooth ``series`` with, refused before any
-    weight is computed when the series is too short for it."""
+def _smooth(series, gamma, truncation=DEFAULT_KERNEL_TRUNCATION):
+    """``series`` smoothed by the Gaussian kernel of bandwidth ``gamma``,
+    its ``boundary`` the kernel's half-width, and the kernel. A series too
+    short for the kernel is refused before any weight is computed."""
     if len(series) < 2 * _half_width(gamma, truncation, series.spacing) + 3:
         raise ValueError("series too short for the requested kernel")
-    return make_gaussian_kernel(gamma, truncation, series.spacing)
+    kernel = make_gaussian_kernel(gamma, truncation, series.spacing)
+    values = convolve(series.values, kernel)
+    smoothed = SampledSeries(values, series.spacing, series.origin, kernel.half_width)
+    return smoothed, kernel
 
 
 def estimate_smoothed_moments(
@@ -146,18 +150,15 @@ def _resolve_moments(
 
 def detect(series: SampledSeries, config: DetectorConfig) -> DetectionResult:
     """Run the detection pipeline on a raw series."""
-    kernel = _kernel_for(series, config.gamma, config.kernel_truncation)
+    if config.subtract_mean:
+        series = replace(series, values=series.values - series.values.mean())
+    smoothed, kernel = _smooth(series, config.gamma, config.kernel_truncation)
     warnings: tuple[str, ...] = ()
     if kernel.aliased:
         warnings = (
             "smoothing bandwidth is at or below the grid spacing; "
             "the sampled kernel aliases and height p-values lose accuracy",
         )
-    values = series.values
-    if config.subtract_mean:
-        values = values - values.mean()
-    prepared = SampledSeries(values, series.spacing, series.origin)
-    smoothed = convolve(prepared, kernel)
     candidates = find_local_maxima(smoothed)
     moments = _resolve_moments(config, smoothed)
     candidates = assign_pvalues(candidates, moments)

@@ -13,12 +13,16 @@ The tally works on a block of rows; :func:`classify` is its one-row case.
 The harness replays the detection pipeline over many noise draws on a
 padded grid (margin ``4 (nu + max gamma)`` time units each side, and at
 least the kernel half-width, cropped after smoothing so the analysis
-window is free of boundary effects). It smooths and finds maxima with
-the code of :func:`peaksig.detect`, then computes p-values, decides
-(:func:`peaksig.mtp.reject_rows`) and tallies once per bandwidth for a
-block of replications. The report gives familywise error rate, false
-discovery rate, power, and the probability that one true peak carries
-more than one candidate maximum.
+window is free of boundary effects). Replications run in blocks of
+rows, one seeded draw per row; per bandwidth, a block is smoothed
+(:func:`peaksig.smoothing.convolve`), searched for maxima
+(:func:`peaksig.maxima.local_max_indices`), given p-values, decided
+(:func:`peaksig.mtp.reject_rows`) and tallied in one call each, with the
+code of :func:`peaksig.detect`. Rows never mix, so the report does not
+depend on how replications are cut into blocks or spread over workers.
+The report gives familywise error rate, false discovery rate, power, and
+the probability that one true peak carries more than one candidate
+maximum.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .model import (
 )
 from .mtp import _METHODS, reject_rows
 from .nulldist import gaussian_model_moments, peak_height_right_cdf
-from .series import Grid, SampledSeries
+from .series import Grid
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, _half_width, convolve, make_gaussian_kernel
 
 __all__ = [
@@ -60,6 +64,9 @@ __all__ = [
 # error/power experiments, and the fine sweep for locating the power optimum.
 DEFAULT_BANDWIDTH_GRID = tuple(1.0 + 0.5 * i for i in range(12))
 FINE_BANDWIDTH_GRID = tuple(round(1.0 + 0.1 * i, 10) for i in range(26))
+
+# Samples (replications times grid length) per block of the harness.
+_BLOCK_SAMPLES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +278,11 @@ class SimConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not self.methods or any(m not in _METHODS for m in self.methods):
             raise ValueError("methods must be drawn from 'bonferroni', 'bh'")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("replications", "workers"):
+            value = getattr(self, name)
+            if not (value >= 1 and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer >= 1")
+            object.__setattr__(self, name, int(value))
         # detect's rule for every kernel, so a huge bandwidth is refused, not allocated.
         spacing = self.grid.spacing
         widths = [_half_width(g, self.kernel_truncation, spacing) for g in self.gammas]
@@ -341,18 +349,14 @@ def _sim_context(config: SimConfig):
     window = (grid.origin, grid.origin + (grid.length - 1) * delta)
     signal_values = synthesize_signal(config.signal, padded).values
     moments = [gaussian_model_moments(config.noise, g) for g in config.gammas]
-    regions = [
-        truth_regions(config.signal, g, config.kernel_truncation, window)
-        for g in config.gammas
-    ]
+    # The tally reads no expanded region, so one set (gamma 0, no
+    # expansion) serves every bandwidth.
+    regions = truth_regions(config.signal, 0.0, window=window)
     # A candidate's time is ``grid.times()[index]``, so a closed time
     # interval holds exactly the indices from the first grid time at or
     # past its start to the last at or before its end.
-    times = grid.times()
-    cuts = []
-    for r in regions:
-        lo, hi = _positions(times, _endpoints(r))
-        cuts.append(np.stack((lo, hi - 1)))
+    lo, hi = _positions(grid.times(), _endpoints(regions))
+    cuts = np.stack((lo, hi - 1))
     return margin, padded, signal_values, kernels, moments, regions, cuts
 
 
@@ -361,38 +365,32 @@ def _run_block(task):
     fields, on the last axis, per (replication, gamma, method)."""
     config, start, stop = task
     margin, padded, signal_values, kernels, moments, regions, cuts = _sim_context(config)
-    length = config.grid.length
-    found = [[] for _ in kernels]
-    heights = [[] for _ in kernels]
-    for rep in range(start, stop):
-        seed = replication_seed(config.base_seed, rep)
-        noise_values = synthesize_noise(config.noise, padded, seed).values
-        raw = SampledSeries(signal_values + noise_values, padded.spacing, padded.origin)
-        for gi, kernel in enumerate(kernels):
-            # The margin covers the kernel's half-width, so the window
-            # never sees the renormalized edges.
-            smoothed = convolve(raw, kernel).values[margin : margin + length]
-            idx = local_max_indices(smoothed)
-            found[gi].append(idx)
-            heights[gi].append(smoothed[idx])
-    # Row r's grid indices, offset by r * length, ascend across the block,
-    # so one search places every replication's candidates.
-    offsets = length * np.arange(stop - start)
+    rows, length = stop - start, config.grid.length
+    draws = np.empty((rows, padded.length))
+    for r in range(rows):
+        seed = replication_seed(config.base_seed, start + r)
+        draws[r] = synthesize_noise(config.noise, padded, seed).values
+    draws += signal_values
+    # Row r's window index i has flat index r * length + i, so the keys
+    # ascend across the block and one search places every row's candidates.
+    ends = cuts[:, None, :] + length * np.arange(rows)[:, None]
     counts = []
-    for gi in range(len(kernels)):
-        sizes = np.array([idx.size for idx in found[gi]])
+    for kernel, gamma_moments in zip(kernels, moments):
+        # The margin covers the kernel's half-width, so the window
+        # never sees the renormalized edges.
+        smoothed = convolve(draws, kernel)[:, margin : margin + length]
+        keys = local_max_indices(smoothed)
+        row, index = np.divmod(keys, length)
+        sizes = np.bincount(row, minlength=rows)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
-        keys = np.concatenate(found[gi]) + np.repeat(offsets, sizes)
-        lo, hi = _positions(keys, cuts[gi][:, None, :] + offsets[:, None])
-        p = np.maximum(
-            peak_height_right_cdf(moments[gi], np.concatenate(heights[gi])),
-            np.finfo(float).tiny,
-        )
+        lo, hi = _positions(keys, ends)
+        heights = smoothed[row, index]
+        p = np.maximum(peak_height_right_cdf(gamma_moments, heights), np.finfo(float).tiny)
         for method in config.methods:
             _, rejected = reject_rows(method, p, sizes, config.alpha)
-            rc = _tally(lo, hi, rejected, bounds, regions[gi])
+            rc = _tally(lo, hi, rejected, bounds, regions)
             counts.append(np.column_stack(list(vars(rc).values())))
-    shape = (stop - start, len(kernels), len(config.methods), -1)
+    shape = (rows, len(kernels), len(config.methods), -1)
     return np.stack(counts, axis=1).reshape(shape)
 
 
@@ -405,21 +403,23 @@ def _sample_se(x: np.ndarray) -> float:
 def run_simulation(config: SimConfig) -> SimReport:
     """Run the full study and reduce to per-(gamma, method) estimates.
 
-    Replications are independent; with ``config.workers > 1`` they are
-    distributed over processes. Per-replication results are reassembled
-    in replication order before reduction, so the report does not
-    depend on the worker count.
+    Replications are independent and run in blocks of rows: at least
+    ``config.workers`` blocks, each of at most ``_BLOCK_SAMPLES`` samples
+    (rows times grid length), so memory stays bounded at any replication
+    count. With ``config.workers > 1`` the blocks are distributed over
+    processes. Per-replication results are reassembled in replication
+    order before reduction, so the report does not depend on the block
+    split or the worker count.
     """
     n = config.replications
-    if config.workers > 1 and n > 1:
-        bounds = np.linspace(0, n, min(config.workers, n) + 1, dtype=int)
-        tasks = [
-            (config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
+    rows = max(1, _BLOCK_SAMPLES // config.grid.length)
+    k = min(n, max(config.workers, -(-n // rows)))
+    tasks = [(config, n * i // k, n * (i + 1) // k) for i in range(k)]
+    if config.workers > 1 and k > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
-        blocks = [_run_block((config, 0, n))]
+        blocks = list(map(_run_block, tasks))
     rc = RunCounts(*np.moveaxis(np.concatenate(blocks), -1, 0))
     peaks = np.maximum(rc.num_peaks, 1)
     fdp = rc.false_rejections / np.maximum(rc.rejections, 1)

@@ -38,10 +38,8 @@ __all__ = [
     "file_sha256",
     "detection_report_dict",
     "write_detection_report",
-    "load_detection_report",
     "sim_report_dict",
     "write_sim_report",
-    "load_sim_report",
 ]
 
 _TOOL = "peaksig"
@@ -329,11 +327,6 @@ def write_detection_report(
     _write_json(head, str(path) + ".manifest.json")
 
 
-def load_detection_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # Simulation reports
 
@@ -362,8 +355,3 @@ def write_sim_report(report: SimReport, path, fmt: str = "json") -> None:
         _write_rows_csv(path, list(_SIM_FIELDS), rows, manifest)
         return
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def load_sim_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

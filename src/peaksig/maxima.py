@@ -3,7 +3,9 @@
 Candidate maxima are kept as columns (:class:`Candidates`): one array
 each for grid index, time, height, p-value and rejection flag. The
 pipeline fills the columns in whole-array steps; there is no
-per-candidate object.
+per-candidate object. :func:`local_max_indices` searches every row of a
+block at once, so one maxima rule serves ``detect`` (one row) and the
+simulation harness (one row per replication).
 """
 
 from __future__ import annotations
@@ -53,29 +55,35 @@ class Candidates:
 
 
 def local_max_indices(values: np.ndarray) -> np.ndarray:
-    """Indices of strict local maxima of a 1-D array, ascending.
+    """Flat indices of strict local maxima along the last axis, ascending.
 
-    A sample qualifies when it exceeds both neighbors. A plateau of
-    equal values strictly above both flanks yields the single index
-    ``(first + last) // 2``. Endpoints never qualify.
+    A 1-D array is one row; in rows of ``n`` samples, sample ``i`` of row
+    ``r`` has flat index ``r * n + i``. A sample qualifies when it exceeds
+    both neighbors in its row. A plateau of equal values strictly above
+    both flanks yields the single index ``(first + last) // 2``; plateaus
+    never run from one row into the next. Row ends never qualify.
     """
     v = np.asarray(values, dtype=float)
-    n = v.size
+    n = v.shape[-1]
     if n < 3:
         raise ValueError("need at least 3 samples to search for maxima")
-    d = np.diff(v)
+    d = np.diff(v, axis=-1)
     if np.all(d != 0.0):
-        core = (d[:-1] > 0.0) & (d[1:] < 0.0)
-        return np.flatnonzero(core) + 1
-    # Plateau path: run-length encode, keep runs strictly above both flanks.
-    change = np.flatnonzero(d != 0.0)
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [n - 1]))
-    interior = (starts > 0) & (ends < n - 1)
-    keep = np.zeros(starts.size, dtype=bool)
-    idx = np.flatnonzero(interior)
-    keep[idx] = (v[starts[idx]] > v[starts[idx] - 1]) & (v[ends[idx]] > v[ends[idx] + 1])
-    return (starts[keep] + ends[keep]) // 2
+        peak = np.zeros(v.shape, dtype=bool)
+        np.logical_and(d[..., :-1] > 0.0, d[..., 1:] < 0.0, out=peak[..., 1:-1])
+        return np.flatnonzero(peak)
+    # Plateau path: a maximum, one sample or a plateau, spans the samples
+    # after a rise (difference ``a``) up to the next nonzero difference, a
+    # fall (``b``), in the same row. With n - 1 differences to a row, the
+    # middle of row r's samples ``a + 1 .. b`` has flat index below.
+    flat = d.reshape(-1)
+    nz = np.flatnonzero(flat)
+    up = flat[nz] > 0.0
+    turn = up[:-1] & ~up[1:]
+    a, b = nz[:-1][turn], nz[1:][turn]
+    row = a // (n - 1)
+    same = b // (n - 1) == row
+    return (a[same] + b[same] + 1) // 2 + row[same]
 
 
 def find_local_maxima(

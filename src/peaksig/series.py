@@ -18,7 +18,7 @@ class Grid:
     origin: float = 0.0
 
     def __post_init__(self):
-        if int(self.length) != self.length or self.length < 1:
+        if not (self.length >= 1 and float(self.length).is_integer()):
             raise ValueError("grid length must be an integer >= 1")
         object.__setattr__(self, "length", int(self.length))
         if not (np.isfinite(self.spacing) and self.spacing > 0):

@@ -2,11 +2,12 @@
 
 Kernels are truncated Gaussian densities sampled on the grid and
 renormalized so that the discrete convolution has unit action on
-constants. Interior samples receive the discrete convolution, exact
-for narrow kernels; wide ones go through an overlap-add FFT, within
-~1e-15 relative, that keeps the exact ties of constant windows. Near
-the edges the kernel is renormalized over the in-range part and the
-output is flagged with the affected half-width.
+constants. :func:`convolve` smooths an array along its last axis, each
+row on its own, so a block of rows comes out as the rows smoothed one
+at a time. Interior samples receive the discrete convolution, exact for
+narrow kernels; wide ones go through an overlap-add FFT, within ~1e-15
+relative, that keeps the exact ties of constant windows. Near the edges
+the kernel is renormalized over the in-range part.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .series import SampledSeries
 
 __all__ = ["Kernel", "make_gaussian_kernel", "convolve", "DEFAULT_KERNEL_TRUNCATION"]
 
@@ -104,64 +103,62 @@ def make_gaussian_kernel(
     )
 
 
-def convolve(series: SampledSeries, kernel: Kernel) -> SampledSeries:
-    """Smooth ``series`` with ``kernel``, preserving length.
+def convolve(values: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Smooth ``values`` with ``kernel`` along the last axis, preserving shape.
 
-    Interior points get the discrete convolution
-    ``sum_k w_k y[i-k] * spacing``: exact for kernels narrower than
-    ``_FFT_MIN_TAPS`` taps; for wider ones an overlap-add FFT within
-    ~1e-15 of ``max |y|``, which keeps the exact ties of windows that
-    see one constant value. Within ``kernel.half_width`` of either end
-    the kernel is renormalized over its in-range portion, so constants
-    are reproduced everywhere. The output ``boundary`` field records
-    the half-width so maxima searches can skip the zone.
+    A 1-D array is one row; rows are smoothed independently, so each row
+    of the result equals the row smoothed alone, bit for bit. Interior
+    points get the discrete convolution ``sum_k w_k y[i-k] * spacing``:
+    exact for kernels narrower than ``_FFT_MIN_TAPS`` taps; for wider ones
+    an overlap-add FFT within ~1e-15 of ``max |y|``, which keeps the exact
+    ties of windows that see one constant value. Within
+    ``kernel.half_width`` of either end of a row the kernel is
+    renormalized over its in-range portion, so constants are reproduced
+    everywhere; maxima searches should skip that zone.
     """
-    if abs(kernel.spacing - series.spacing) > 1e-12 * kernel.spacing:
-        raise ValueError("kernel and series spacing differ")
-    n = len(series)
+    x = np.asarray(values, dtype=float)
+    n = x.shape[-1]
     w = kernel.weights
     if n < w.size:
         raise ValueError("series shorter than kernel support")
     h = kernel.half_width
-    x = series.values
     fft = w.size >= _FFT_MIN_TAPS
-    numer = _overlap_add(x, w) if fft else np.convolve(x, w, mode="same")
-    # Only the 2 * h edge samples see a partial kernel; their in-range
-    # mass comes from a short series, whose middle sample holds the
-    # full-window sum the interior is divided by.
+    if fft:
+        numer = _overlap_add(x, w)
+    else:
+        numer = np.apply_along_axis(np.convolve, -1, x, w, "same")
+    # Only the 2 * h edge samples of a row see a partial kernel; their
+    # in-range mass comes from a short series, whose middle sample holds
+    # the full-window sum the interior is divided by.
     m = min(n, 4 * h + 1)
     mass = np.convolve(np.ones(m), w, mode="same")
-    values = numer / mass[m // 2]
-    values[:h] = numer[:h] / mass[:h]
-    values[n - h :] = numer[n - h :] / mass[m - h :]
+    numer[..., :h] /= mass[:h]
+    numer[..., h : n - h] /= mass[m // 2]
+    numer[..., n - h :] /= mass[m - h :]
     if fft:
         # FFT rounding breaks the ties a direct sum gives wherever the
         # whole window sees one value (clipped or zero-filled stretches),
         # which would split a plateau into spurious maxima.
-        changes = np.zeros(n, dtype=np.int64)
-        np.cumsum(x[1:] != x[:-1], out=changes[1:])
-        flat = np.flatnonzero(changes[2 * h :] == changes[: n - 2 * h]) + h
-        values[flat] = x[flat]
-    return SampledSeries(
-        values=values,
-        spacing=series.spacing,
-        origin=series.origin,
-        boundary=h,
-    )
+        changes = np.zeros(x.shape, dtype=np.int64)
+        np.cumsum(x[..., 1:] != x[..., :-1], axis=-1, out=changes[..., 1:])
+        flat = changes[..., 2 * h :] == changes[..., : n - 2 * h]
+        np.copyto(numer[..., h : n - h], x[..., h : n - h], where=flat)
+    return numer
 
 
 def _overlap_add(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``np.convolve(x, w, "same")`` by overlap-add FFT over blocks."""
-    taps = w.size
+    """``np.convolve(row, w, "same")`` of each row of ``x`` by overlap-add
+    FFT over blocks of the last axis."""
+    taps, n = w.size, x.shape[-1]
     nfft = 1 << (8 * taps - 1).bit_length()
     step = nfft - taps + 1
-    blocks = -(-x.size // step)
-    padded = np.zeros(blocks * step)
-    padded[: x.size] = x
-    spectra = np.fft.rfft(padded.reshape(blocks, step), nfft) * np.fft.rfft(w, nfft)
-    pieces = np.fft.irfft(spectra, nfft)
-    full = np.zeros((blocks + 1, step))
-    full[:blocks] = pieces[:, :step]
-    full[1:, : taps - 1] += pieces[:, step:]
+    blocks = -(-n // step)
+    padded = np.zeros(x.shape[:-1] + (blocks * step,))
+    padded[..., :n] = x
+    spectra = np.fft.rfft(padded.reshape(x.shape[:-1] + (blocks, step)), nfft)
+    pieces = np.fft.irfft(spectra * np.fft.rfft(w, nfft), nfft)
+    full = np.zeros(x.shape[:-1] + (blocks + 1, step))
+    full[..., :blocks, :] = pieces[..., :step]
+    full[..., 1:, : taps - 1] += pieces[..., step:]
     h = taps // 2
-    return full.ravel()[h : h + x.size]
+    return full.reshape(x.shape[:-1] + (-1,))[..., h : h + n]

@@ -18,9 +18,7 @@ from peaksig import (
     detect,
     detection_report_dict,
     file_sha256,
-    load_detection_report,
     load_series,
-    load_sim_report,
     run_simulation,
     standard_design,
     synthesize_noise,
@@ -318,7 +316,7 @@ class TestDetectionReports:
         result, _ = small_result()
         out = tmp_path / "report.json"
         write_detection_report(result, out, fmt="json")
-        loaded = load_detection_report(out)
+        loaded = json.loads(out.read_text())
         c = result.candidates
         assert loaded["num_maxima"] == len(c)
         assert loaded["num_rejected"] == int(np.count_nonzero(c.rejected))
@@ -377,7 +375,7 @@ class TestSimReports:
         report = run_simulation(self.CONFIG)
         out = tmp_path / "sim.json"
         write_sim_report(report, out)
-        loaded = load_sim_report(out)
+        loaded = json.loads(out.read_text())
         assert loaded["seed"] == 11
         assert len(loaded["cells"]) == 2
         for row, cell in zip(loaded["cells"], report.cells):
@@ -435,7 +433,7 @@ class TestCliDetect:
         out = tmp_path / "report.json"
         code = main(["detect", str(src), "--config", str(cfg), "--output", str(out)])
         assert code == 0
-        assert load_detection_report(out)["config"]["method"] == "bonferroni"
+        assert json.loads(out.read_text())["config"]["method"] == "bonferroni"
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         src = tmp_path / "series.txt"
@@ -491,7 +489,7 @@ class TestCliDetect:
         first = tmp_path / "first.json"
         assert main([*argv, "--output", str(first)]) == 0
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(load_detection_report(first)["config"]))
+        cfg.write_text(json.dumps(json.loads(first.read_text())["config"]))
         rebuilt = cli._detector_config(parsed(["detect", str(src), "--config", str(cfg)]))
         assert rebuilt == cli._detector_config(parsed(argv))
 
@@ -676,13 +674,26 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert f"missing key: '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout", ["design", "explicit"])
+    @pytest.mark.parametrize(
+        "key, value", [("replications", 4.5), ("replications", math.inf), ("workers", 1.5)]
+    )
+    def test_non_integer_count_refused(self, tmp_path, capsys, monkeypatch, layout, key, value):
+        study = {"design": {"num_peaks": 2}, "gammas": [3]} if layout == "design" else explicit_study()
+        study[key] = value
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert f"{key} must be an integer >= 1" in capsys.readouterr().err
+
     def test_report_config_rebuilds_study(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PEAKSIG_WORKERS", raising=False)
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps({**explicit_study(), "workers": 2}))
         first = tmp_path / "first.json"
         assert main(["simulate", "--config", str(cfg), "--seed", "9", "--output", str(first)]) == 0
-        report = load_sim_report(first)
+        report = json.loads(first.read_text())
         echoed = report["config"]
         # JSON integers in float fields come back as floats.
         signal, noise, grid = echoed["signal"], echoed["noise"], echoed["grid"]
@@ -697,7 +708,7 @@ class TestCliSimulate:
         assert (config.workers, config.noise.nu) == (2, 1.0)
         second = tmp_path / "second.json"
         assert main([*argv, "--output", str(second)]) == 0
-        assert load_sim_report(second)["cells"] == report["cells"]
+        assert json.loads(second.read_text())["cells"] == report["cells"]
 
 
 class TestCliEstimateMoments:

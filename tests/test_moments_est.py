@@ -36,7 +36,8 @@ GRID_LAMBDA4 = 0.023253307325280942  # 6 c0 - 8 c1 + 2 c2
 
 def smoothed_noise(n, seed, gamma=1.5):
     raw = synthesize_noise(NoiseSpec(sigma=1.0, nu=0.0), Grid(n), seed=seed)
-    return convolve(raw, make_gaussian_kernel(gamma))
+    kernel = make_gaussian_kernel(gamma)
+    return SampledSeries(convolve(raw.values, kernel), boundary=kernel.half_width)
 
 
 class TestDifference:

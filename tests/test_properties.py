@@ -9,7 +9,9 @@ over the intervals, one row at a time and as the harness's block of
 rows; the block rejection rule is checked row by row against the
 one-family Bonferroni and BH it replaced. The height cdf and the
 smoother are checked against their defining properties; the smoother
-is also checked against its two-convolution definition.
+is also checked against its two-convolution definition. The smoother
+and the maxima search on a block of rows are checked against one-row
+calls.
 """
 
 import dataclasses
@@ -71,6 +73,31 @@ def test_local_max_indices_matches_brute_force(values):
     assert local_max_indices(v).tolist() == brute_force_maxima(values)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(3, 12), st.data())
+def test_local_max_indices_rows_equal_one_row_calls(rows, n, data):
+    # Small levels make plateaus that touch row ends and equal values that
+    # straddle a row boundary; distinct values take the no-tie path.
+    size = rows * n
+    if data.draw(st.booleans()):
+        flat = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    else:
+        flat = data.draw(st.permutations(range(size)))
+    v = np.array(flat, dtype=float).reshape(rows, n)
+    want = [r * n + i for r in range(rows) for i in local_max_indices(v[r]).tolist()]
+    assert local_max_indices(v).tolist() == want
+    assert want == [
+        r * n + i for r in range(rows) for i in brute_force_maxima(flat[r * n : (r + 1) * n])
+    ]
+
+
+def test_local_max_indices_plateau_never_spans_rows():
+    # Rows 0 and 1 join into a plateau above 1.0 on both sides if read as
+    # one series; each row's half touches its row end, so neither counts.
+    v = np.array([[0.0, 1.0, 2.0, 2.0], [2.0, 2.0, 1.0, 0.0], [0.0, 3.0, 3.0, 0.0]])
+    assert local_max_indices(v).tolist() == [9]
+
+
 @given(levels, st.integers(0, 8), st.floats(0.25, 4.0), st.floats(-50.0, 50.0))
 def test_find_local_maxima_columns(values, boundary, spacing, origin):
     v = np.array(values, dtype=float)
@@ -116,14 +143,14 @@ def per_candidate_rows(series: SampledSeries, config: DetectorConfig, result):
     ``(index, time, height, p_value, rejected)`` tuple per maximum."""
     values = series.values - series.values.mean()
     kernel = make_gaussian_kernel(config.gamma, config.kernel_truncation, series.spacing)
-    smoothed = convolve(SampledSeries(values, series.spacing, series.origin), kernel)
-    b = smoothed.boundary
-    idx = [i for i in local_max_indices(smoothed.values).tolist() if b <= i < len(smoothed) - b]
+    smoothed = convolve(values, kernel)
+    b = kernel.half_width
+    idx = [i for i in local_max_indices(smoothed).tolist() if b <= i < smoothed.size - b]
     rejected = set(result.decision.rejected_indices)
     tiny = np.finfo(float).tiny
     rows = []
     for k, i in enumerate(idx):
-        height = float(smoothed.values[i])
+        height = float(smoothed[i])
         p = max(float(peak_height_right_cdf(result.moments_used, height)), tiny)
         time = series.origin + series.spacing * i
         rows.append((i, time, height, p, k in rejected))
@@ -321,9 +348,9 @@ levels_12 = st.just(0.0) | magnitudes | magnitudes.map(lambda v: -v)
 def test_convolve_reproduces_constants(level, spacing, gamma_in_steps, truncation, extra):
     kernel = make_gaussian_kernel(gamma_in_steps * spacing, truncation, spacing)
     n = kernel.weights.size + extra
-    out = convolve(SampledSeries(np.full(n, level), spacing, -3.0), kernel)
-    assert len(out) == n and out.boundary == kernel.half_width
-    np.testing.assert_allclose(out.values, level, rtol=1e-12, atol=0.0)
+    out = convolve(np.full(n, level), kernel)
+    assert out.shape == (n,)
+    np.testing.assert_allclose(out, level, rtol=1e-12, atol=0.0)
 
 
 def convolve_reference(values: np.ndarray, kernel) -> np.ndarray:
@@ -363,7 +390,7 @@ def test_convolve_direct_path_matches_definition_bitwise(
     kernel = kernel_with_half_width(half, truncation, spacing)
     assert kernel.half_width == half and kernel.weights.size < _FFT_MIN_TAPS
     x = noise(kernel.weights.size + extra, params)
-    got = convolve(SampledSeries(x, spacing), kernel).values
+    got = convolve(x, kernel)
     assert got.tobytes() == convolve_reference(x, kernel).tobytes()
 
 
@@ -390,7 +417,7 @@ def test_convolve_fft_path_matches_definition(half, truncation, spacing, params,
     # Sometimes a constant stretch, which the tie repair sets exactly.
     start = data.draw(st.integers(0, n - 1))
     x[start : start + data.draw(st.integers(0, 3 * taps))] = x[start]
-    got = convolve(SampledSeries(x, spacing), kernel).values
+    got = convolve(x, kernel)
     want = convolve_reference(x, kernel)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
 
@@ -406,11 +433,35 @@ def test_convolve_fft_path_keeps_flat_window_ties():
     x[25_000:25_600] = 0.0
     kernel = make_gaussian_kernel(30.0)
     assert kernel.weights.size >= _FFT_MIN_TAPS
-    got = find_local_maxima(convolve(SampledSeries(x), kernel))
+    got = find_local_maxima(SampledSeries(convolve(x, kernel), boundary=kernel.half_width))
     want = find_local_maxima(
         SampledSeries(convolve_reference(x, kernel), boundary=kernel.half_width)
     )
     assert got.index.tolist() == want.index.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, (_FFT_MIN_TAPS - 2) // 2) | st.integers(_FFT_MIN_TAPS // 2, 130),
+    truncations,
+    spacings,
+    st.integers(1, 4),
+    st.data(),
+)
+def test_convolve_rows_equal_one_row_calls_bitwise(half, truncation, spacing, rows, data):
+    # Narrow (direct) and wide (FFT) kernels, with constant stretches that
+    # the FFT path's tie repair sets exactly.
+    kernel = kernel_with_half_width(half, truncation, spacing)
+    taps = kernel.weights.size
+    n = taps + data.draw(st.integers(0, 600))
+    x = np.stack([noise(n, data.draw(scaled_noise)) for _ in range(rows)])
+    for row in x:
+        start = data.draw(st.integers(0, n - 1))
+        row[start : start + data.draw(st.integers(0, 3 * taps))] = row[start]
+    got = convolve(x, kernel)
+    assert got.shape == x.shape
+    for r in range(rows):
+        assert got[r].tobytes() == convolve(x[r], kernel).tobytes()
 
 
 def bonferroni_reference(p_values, alpha, moments=None) -> MtpDecision:

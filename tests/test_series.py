@@ -16,7 +16,10 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "length,spacing,origin",
-        [(0, 1.0, 0.0), (-3, 1.0, 0.0), (5, 0.0, 0.0), (5, -1.0, 0.0), (5, 1.0, np.inf)],
+        [
+            (0, 1.0, 0.0), (-3, 1.0, 0.0), (2.5, 1.0, 0.0), (np.inf, 1.0, 0.0),
+            (np.nan, 1.0, 0.0), (5, 0.0, 0.0), (5, -1.0, 0.0), (5, 1.0, np.inf),
+        ],
     )
     def test_rejects_bad_parameters(self, length, spacing, origin):
         with pytest.raises(ValueError):

@@ -131,8 +131,32 @@ def test_harness_matches_detect(name, rep, monkeypatch):
             mask[list(decision.rejected_indices)] = True
             times = cfg.grid.times()[index]
             restricted = Candidates(index, times, c.height[interior], p, mask)
-            rc = classify(dataclasses.replace(result, candidates=restricted), regions[gi])
+            rc = classify(dataclasses.replace(result, candidates=restricted), regions)
             assert counts[0, gi, mi].tolist() == list(dataclasses.astuple(rc))
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS) + ["odd_grid"])
+def test_run_block_stacks_its_parts(name):
+    cfg = odd_grid_config() if name == "odd_grid" else config(name)
+    whole = evaluation._run_block((cfg, 0, 9))
+    parts = [evaluation._run_block((cfg, a, b)) for a, b in ((0, 4), (4, 9))]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+def test_cells_do_not_depend_on_the_block_split(monkeypatch):
+    # Two blocks of the sample budget, at one worker and at two; then one
+    # block, and blocks of seven rows. Gamma 13 smooths by the FFT path.
+    cfg = standard_design(gammas=(3.0, 13.0), replications=300, base_seed=36)
+    assert cfg.replications * cfg.grid.length > evaluation._BLOCK_SAMPLES
+    want = run_simulation(cfg).cells
+    assert run_simulation(dataclasses.replace(cfg, workers=2)).cells == want
+    blocks = []
+    monkeypatch.setattr(evaluation, "_run_block", recording(blocks, evaluation._run_block))
+    for rows in (cfg.replications, 7):
+        monkeypatch.setattr(evaluation, "_BLOCK_SAMPLES", rows * cfg.grid.length)
+        blocks.clear()
+        assert run_simulation(cfg).cells == want
+        assert max(stop - start for ((_, start, stop),), _ in blocks) == rows
 
 
 def _regenerate() -> None:
