@@ -382,10 +382,17 @@ def _cmd_pvalue_table(args) -> int:
         lines += [f"{p!r},{u!r}" for p, u in zip(ps, us)]
     else:
         if args.heights is not None:
+            if args.hmin is not None or args.hmax is not None:
+                raise ValueError("--heights cannot be combined with --min/--max")
             heights = np.array(_parse_list(args.heights))
             if heights.size == 0:
                 raise ValueError("--heights parsed to an empty list")
+            if not np.all(np.isfinite(heights)):
+                raise ValueError("--heights must be finite")
         elif args.hmin is not None and args.hmax is not None:
+            # Finite only if both ends are and the span does not overflow.
+            if not np.isfinite(args.hmax - args.hmin):
+                raise ValueError("--min and --max must be finite, and so must their span")
             if not args.hmax > args.hmin:
                 raise ValueError("--max must exceed --min")
             if args.num < 2:

@@ -75,23 +75,18 @@ _BLOCK_SAMPLES = 1 << 19
 
 @dataclass(frozen=True, eq=False)
 class TruthRegions:
-    """Interval bookkeeping for one signal layout at one bandwidth.
+    """Interval bookkeeping for one signal layout on one window.
 
     All interval sets are (k, 2) arrays of closed intervals clipped to
-    the window. ``signal_region`` is the union of peak supports;
-    ``signal_region_expanded`` additionally absorbs the smoothing
-    spill-over (supports widened by the kernel half-support);
-    ``null_region`` / ``null_region_expanded`` are the respective
-    complements. ``rejection_regions`` holds one interval per peak,
+    the window. ``signal_region`` is the union of peak supports, sorted
+    and disjoint. ``rejection_regions`` holds one interval per peak,
     overlaps split at midpoints, tiling ``signal_region`` exactly;
-    ``peak_supports`` keeps the unsplit per-peak supports.
+    ``peak_supports`` keeps the unsplit per-peak supports. These are
+    all the tally reads: a rejection is true only inside a support, so
+    no region widened by smoothing enters the count.
     """
 
-    window: tuple[float, float]
     signal_region: np.ndarray
-    signal_region_expanded: np.ndarray
-    null_region: np.ndarray
-    null_region_expanded: np.ndarray
     rejection_regions: np.ndarray
     peak_supports: np.ndarray
 
@@ -110,40 +105,20 @@ def _merge_intervals(intervals: np.ndarray) -> np.ndarray:
     return np.column_stack((iv[first, 0], reach[last]))
 
 
-def _complement(intervals: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    """Gaps of sorted, disjoint ``intervals`` inside ``window``."""
-    gaps = np.column_stack(
-        (np.append(window[0], intervals[:, 1]), np.append(intervals[:, 0], window[1]))
-    )
-    return gaps[gaps[:, 0] < gaps[:, 1]]
+def truth_regions(signal: SignalSpec, window: tuple[float, float]) -> TruthRegions:
+    """Build the truth regions of ``signal`` inside ``window``.
 
-
-def truth_regions(
-    signal: SignalSpec,
-    gamma: float,
-    kernel_truncation: float = DEFAULT_KERNEL_TRUNCATION,
-    window: tuple[float, float] = (0.0, 1.0),
-) -> TruthRegions:
-    """Build the truth regions for ``signal`` smoothed at ``gamma``.
-
-    ``gamma`` may be 0 (no expansion). Peaks whose rejection region
-    misses the window are dropped.
+    Peaks whose rejection region misses the window are dropped.
     """
-    if not (np.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be >= 0")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be a nonempty interval")
-    window = (lo, hi)
     half = signal.support_half_width
-    spill = half + kernel_truncation * gamma
     taus = np.sort(np.array([tau for _, tau in signal.peaks], dtype=float))
 
     def clipped(a, b):
         return np.column_stack((np.maximum(a, lo), np.minimum(b, hi)))
 
-    expanded = clipped(taus - spill, taus + spill)
-    expanded = expanded[expanded[:, 0] <= expanded[:, 1]]
     # Per-peak credit: clip each support at the midpoints to its neighbors.
     # A peak stays, with one row in both per-peak arrays, while its credit
     # meets the window.
@@ -154,14 +129,8 @@ def truth_regions(
     )
     keep = credit[:, 0] <= credit[:, 1]
     rejection, supports = credit[keep], clipped(taus - half, taus + half)[keep]
-    signal_region = _merge_intervals(supports)
-    signal_expanded = _merge_intervals(expanded)
     return TruthRegions(
-        window=window,
-        signal_region=signal_region,
-        signal_region_expanded=signal_expanded,
-        null_region=_complement(signal_region, window),
-        null_region_expanded=_complement(signal_expanded, window),
+        signal_region=_merge_intervals(supports),
         rejection_regions=rejection,
         peak_supports=supports,
     )
@@ -278,10 +247,10 @@ class SimConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not self.methods or any(m not in _METHODS for m in self.methods):
             raise ValueError("methods must be drawn from 'bonferroni', 'bh'")
-        for name in ("replications", "workers"):
+        for name, least in (("replications", 1), ("workers", 1), ("base_seed", 0)):
             value = getattr(self, name)
-            if not (value >= 1 and float(value).is_integer()):
-                raise ValueError(f"{name} must be an integer >= 1")
+            if not (value >= least and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))
         # detect's rule for every kernel, so a huge bandwidth is refused, not allocated.
         spacing = self.grid.spacing
@@ -349,9 +318,7 @@ def _sim_context(config: SimConfig):
     window = (grid.origin, grid.origin + (grid.length - 1) * delta)
     signal_values = synthesize_signal(config.signal, padded).values
     moments = [gaussian_model_moments(config.noise, g) for g in config.gammas]
-    # The tally reads no expanded region, so one set (gamma 0, no
-    # expansion) serves every bandwidth.
-    regions = truth_regions(config.signal, 0.0, window=window)
+    regions = truth_regions(config.signal, window)
     # A candidate's time is ``grid.times()[index]``, so a closed time
     # interval holds exactly the indices from the first grid time at or
     # past its start to the last at or before its end.

@@ -86,26 +86,16 @@ def local_max_indices(values: np.ndarray) -> np.ndarray:
     return (a[same] + b[same] + 1) // 2 + row[same]
 
 
-def find_local_maxima(
-    series: SampledSeries, excluded_boundary: int | None = None
-) -> Candidates:
+def find_local_maxima(series: SampledSeries) -> Candidates:
     """Table the local maxima of ``series`` in ascending index order.
 
-    Parameters
-    ----------
-    series : SampledSeries
-    excluded_boundary : int, optional
-        Number of samples at each end to exclude from eligibility.
-        Defaults to ``series.boundary`` (the smoothing-affected zone).
+    The ``series.boundary`` samples at each end (the smoothing-affected
+    zone) are never eligible; to search them too, pass
+    ``dataclasses.replace(series, boundary=0)``.
     """
-    if excluded_boundary is None:
-        excluded_boundary = series.boundary
-    if excluded_boundary < 0:
-        raise ValueError("excluded_boundary must be >= 0")
     idx = local_max_indices(series.values)
-    n = len(series)
-    lo, hi = excluded_boundary, n - 1 - excluded_boundary
-    idx = idx[(idx >= lo) & (idx <= hi)]
+    b = series.boundary
+    idx = idx[(idx >= b) & (idx < len(series) - b)]
     return Candidates(
         index=idx,
         time=series.origin + series.spacing * idx,

@@ -687,6 +687,15 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert f"{key} must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout", ["design", "explicit"])
+    def test_negative_seed_refused(self, tmp_path, capsys, monkeypatch, layout):
+        study = {"design": {"num_peaks": 2}, "gammas": [3]} if layout == "design" else explicit_study()
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "-1"]) == 1
+        assert "base_seed must be an integer >= 0" in capsys.readouterr().err
+
     def test_report_config_rebuilds_study(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PEAKSIG_WORKERS", raising=False)
         cfg = tmp_path / "study.json"
@@ -795,6 +804,30 @@ class TestCliPvalueTable:
                   "--heights", "1.0"])
             == 1
         )
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--heights", "nan,1"],
+            ["--heights", "1,inf"],
+            ["--min", "0", "--max", "inf"],
+            ["--min", "nan", "--max", "1"],
+            ["--min=-1e308", "--max", "1e308"],
+        ],
+    )
+    def test_non_finite_heights_refused(self, capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pvalue-table", "--gamma", "3", *grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "grid", [["--min", "0"], ["--max", "1"], ["--min", "0", "--max", "1"]]
+    )
+    def test_heights_conflicts_with_grid(self, capsys, grid):
+        assert main(["pvalue-table", "--gamma", "3", "--heights", "1.0", *grid]) == 1
+        assert "--heights cannot be combined with --min/--max" in capsys.readouterr().err
 
     def test_explicit_moment_triple(self, capsys):
         code = main(

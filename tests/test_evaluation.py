@@ -49,30 +49,23 @@ def fake_result(times, rejected):
 
 class TestTruthRegions:
     def test_single_peak_regions(self):
-        # b = 3, c_h = 2: support [44, 56]; gamma = 1.5 at truncation 4
-        # spills 6 more on each side.
-        r = truth_regions(ONE_PEAK, gamma=1.5, window=(0.0, 100.0))
+        # b = 3, c_h = 2: support [44, 56].
+        r = truth_regions(ONE_PEAK, (0.0, 100.0))
         assert r.signal_region.tolist() == [[44.0, 56.0]]
-        assert r.signal_region_expanded.tolist() == [[38.0, 62.0]]
-        assert r.null_region.tolist() == [[0.0, 44.0], [56.0, 100.0]]
-        assert r.null_region_expanded.tolist() == [[0.0, 38.0], [62.0, 100.0]]
         assert r.rejection_regions.tolist() == [[44.0, 56.0]]
+        assert r.peak_supports.tolist() == [[44.0, 56.0]]
         assert r.num_peaks == 1
-
-    def test_zero_gamma_means_no_expansion(self):
-        r = truth_regions(ONE_PEAK, gamma=0.0, window=(0.0, 100.0))
-        assert np.array_equal(r.signal_region, r.signal_region_expanded)
 
     def test_overlapping_supports_split_at_midpoint(self):
         two = SignalSpec(peaks=((1.0, 0.0), (1.0, 10.0)), peak_scale=3.0)
-        r = truth_regions(two, gamma=0.0, window=(-6.0, 16.0))
+        r = truth_regions(two, (-6.0, 16.0))
         assert r.peak_supports.tolist() == [[-6.0, 6.0], [4.0, 16.0]]
         assert r.signal_region.tolist() == [[-6.0, 16.0]]
         assert r.rejection_regions.tolist() == [[-6.0, 5.0], [5.0, 16.0]]
 
     def test_peak_outside_window_dropped(self):
         spec = SignalSpec(peaks=((1.0, 50.0), (1.0, 500.0)), peak_scale=3.0)
-        r = truth_regions(spec, gamma=1.0, window=(0.0, 100.0))
+        r = truth_regions(spec, (0.0, 100.0))
         assert r.num_peaks == 1
 
     def test_per_peak_rows_stay_aligned_when_credit_leaves_window(self):
@@ -84,7 +77,7 @@ class TestTruthRegions:
             peak_scale=3.0,
             peak_truncation=2.0,
         )
-        r = truth_regions(spec, gamma=0.0, window=(0.0, 100.0))
+        r = truth_regions(spec, (0.0, 100.0))
         assert r.num_peaks == 2
         assert r.rejection_regions.tolist() == [[0.0, 3.0], [44.0, 56.0]]
         assert r.peak_supports.tolist() == [[0.0, 3.0], [44.0, 56.0]]
@@ -97,14 +90,13 @@ class TestTruthRegions:
 
     def test_unsorted_peaks_handled(self):
         spec = SignalSpec(peaks=((1.0, 70.0), (1.0, 30.0)), peak_scale=3.0)
-        r = truth_regions(spec, gamma=0.0, window=(0.0, 100.0))
+        r = truth_regions(spec, (0.0, 100.0))
         assert r.peak_supports[0, 0] < r.peak_supports[1, 0]
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            truth_regions(ONE_PEAK, gamma=-1.0)
-        with pytest.raises(ValueError):
-            truth_regions(ONE_PEAK, gamma=1.0, window=(5.0, 5.0))
+        for window in ((5.0, 5.0), (10.0, 5.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="window"):
+                truth_regions(ONE_PEAK, window)
 
     def test_partition_invariants_on_random_layouts(self):
         rng = np.random.default_rng(55)
@@ -116,25 +108,25 @@ class TestTruthRegions:
             spec = SignalSpec(
                 peaks=tuple((1.0, float(t)) for t in taus), peak_scale=b
             )
-            r = truth_regions(spec, gamma=float(rng.uniform(0.0, 3.0)), window=window)
-            # Signal and null regions partition the window.
-            pieces = np.vstack((r.signal_region, r.null_region))
-            pieces = pieces[np.argsort(pieces[:, 0])]
-            assert pieces[0, 0] == window[0] and pieces[-1, 1] == window[1]
-            assert np.allclose(pieces[1:, 0], pieces[:-1, 1])
-            # Expansion only grows the signal side.
-            sig_len = np.diff(r.signal_region, axis=1).sum()
-            exp_len = np.diff(r.signal_region_expanded, axis=1).sum()
-            assert exp_len >= sig_len - 1e-12
+            r = truth_regions(spec, window)
+            # The signal region is sorted, disjoint and inside the window.
+            sr = r.signal_region
+            assert np.all(sr[:, 0] <= sr[:, 1])
+            assert np.all(sr[1:, 0] > sr[:-1, 1])
+            assert sr[0, 0] >= window[0] and sr[-1, 1] <= window[1]
             # Rejection regions tile the signal region: disjoint interiors,
             # same total length, same span per merged component.
+            sig_len = np.diff(sr, axis=1).sum()
             rr = r.rejection_regions
             assert np.all(rr[1:, 0] >= rr[:-1, 1] - 1e-12)
             assert np.isclose(np.diff(rr, axis=1).sum(), sig_len)
+            for lo, hi in sr:
+                inside = rr[(rr[:, 0] >= lo) & (rr[:, 1] <= hi)]
+                assert inside[0, 0] == lo and inside[-1, 1] == hi
 
 
 class TestClassify:
-    REGIONS = truth_regions(ONE_PEAK, gamma=1.5, window=(0.0, 100.0))
+    REGIONS = truth_regions(ONE_PEAK, (0.0, 100.0))
 
     def test_mixed_outcome(self):
         rc = classify(fake_result([10.0, 50.0, 70.0], [True, True, False]), self.REGIONS)
@@ -167,7 +159,7 @@ class TestClassify:
         assert rc.detected_peaks == 0
 
     def test_transition_zone_counts_false(self):
-        # Inside the expanded region but outside the support: false.
+        # Near the support, where smoothing spreads the peak, but outside it: false.
         rc = classify(fake_result([40.0], [True]), self.REGIONS)
         assert rc.false_rejections == 1
         assert rc.detected_peaks == 0
@@ -238,6 +230,15 @@ class TestSimConfigValidation:
             dataclasses.replace(base, workers=0)
         with pytest.raises(ValueError):
             dataclasses.replace(base, alpha=1.0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, math.inf, math.nan])
+    def test_base_seed_must_be_whole_and_non_negative(self, seed):
+        with pytest.raises(ValueError, match="base_seed must be an integer >= 0"):
+            standard_design(num_peaks=2, replications=4, base_seed=seed)
+
+    def test_whole_float_base_seed_is_kept_as_int(self):
+        config = standard_design(num_peaks=2, replications=4, base_seed=3.0)
+        assert type(config.base_seed) is int and config.base_seed == 3
 
 
 class TestRunSimulation:

@@ -1,5 +1,7 @@
 """Tests for local-maximum detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,13 +114,12 @@ class TestFindLocalMaxima:
 
     def test_boundary_exclusion_override(self):
         series = SampledSeries([0.0, 5.0, 0.0, 1.0, 0.0, 5.0, 0.0], boundary=2)
-        found = find_local_maxima(series, excluded_boundary=0)
+        found = find_local_maxima(dataclasses.replace(series, boundary=0))
         assert found.index.tolist() == [1, 3, 5]
 
     def test_negative_exclusion_rejected(self):
-        series = SampledSeries([0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            find_local_maxima(series, excluded_boundary=-1)
+        with pytest.raises(ValueError, match="boundary"):
+            SampledSeries([0.0, 1.0, 0.0], boundary=-1)
 
     def test_ascending_order(self):
         rng = np.random.default_rng(16)

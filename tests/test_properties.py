@@ -250,7 +250,7 @@ def pairs_table(pairs) -> Candidates:
     )
 
 
-REGIONS = truth_regions(SIGNAL, 3.0, window=(0.0, 1199.0))
+REGIONS = truth_regions(SIGNAL, (0.0, 1199.0))
 BASE = detect(seeded_series(7), DetectorConfig(gamma=3.0, moments_source=NoiseSpec()))
 
 
@@ -277,16 +277,15 @@ def test_classify_columns_equals_rows_on_arbitrary_candidates(pairs):
 layouts = st.tuples(
     st.lists(st.integers(-12, 72), max_size=6),
     st.sampled_from([1.0, 2.5, 3.0]),
-    st.sampled_from([0.0, 1.5]),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(layouts, st.data())
 def test_classify_matches_per_peak_loop(layout, data):
-    taus, scale, gamma = layout
+    taus, scale = layout
     spec = SignalSpec(peaks=tuple((1.0, float(t)) for t in taus), peak_scale=scale)
-    regions = truth_regions(spec, gamma, window=(0.0, 60.0))
+    regions = truth_regions(spec, (0.0, 60.0))
     assert regions.rejection_regions.shape == regions.peak_supports.shape
     per_peak = (regions.rejection_regions, regions.peak_supports)
     endpoints = sorted({float(v) for arr in per_peak for v in arr.flat})
