@@ -5,7 +5,9 @@ of band) and ``csv`` (``time,value`` rows, no header; the time column
 must be uniformly spaced to 1e-6 of the spacing, plus a few ulps of the
 largest time so that epoch timestamps pass). Both are read as UTF-8,
 with or without a leading byte-order mark, and reject non-finite
-values, naming the first offending line. Reports go out as JSON
+values, naming the first offending line. A file of 1 MiB or more is
+parsed as two halves on two cores, the second in a forked child, with
+the same result as one pass. Reports go out as JSON
 (self-contained) or CSV (tabular rows plus a ``.manifest.json`` sidecar
 carrying the provenance block: tool, version, UTC timestamp, input
 digest, configuration echo).
@@ -21,6 +23,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import signal
+import threading
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,13 +62,19 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _loadtxt(path, **kwargs) -> np.ndarray | None:
-    """Parse a whole file with ``np.loadtxt``, or return None if it raises.
+# A file this large is parsed as two halves, one of them in a forked child.
+_SPLIT_MIN_BYTES = 1 << 20
+# The head of such a file is scanned in blocks of this many bytes.
+_SCAN_BLOCK = 1 << 20
+_BOM = b"\xef\xbb\xbf"
+# ASCII bytes that np.loadtxt's whitespace split strips. A plain line of
+# nothing else is not a row; non-ASCII whitespace (U+00A0) is ruled out
+# by an ASCII check.
+_WHITESPACE = b" \t\r\v\f\x1c\x1d\x1e\x1f"
 
-    This is only the fast path. Anything it cannot parse cleanly goes to
-    the line-by-line readers below, which own every error message and
-    accept whatever ``float()`` accepts.
-    """
+
+def _parse(path, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt`` over ``path``, or None if it raises."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file warns
@@ -72,6 +83,161 @@ def _loadtxt(path, **kwargs) -> np.ndarray | None:
             )
     except (ValueError, OSError):
         return None
+
+
+def _can_fork() -> bool:
+    """Whether a forked child may parse half a file beside this process.
+
+    Not beside other threads, which may hold locks the child needs; not
+    with SIGCHLD ignored, which reaps the child before its status is read;
+    and only with a second usable CPU.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _head_lines(path, delimiter) -> int | None:
+    """Lines in the head of a file worth parsing in halves, else None.
+
+    The head ends at the first newline past the middle of the file. The
+    parent reads it with ``max_rows``, which counts rows and skips empty
+    lines, and the child skips it with ``skiprows``, which counts lines.
+    So the count is returned only when a byte scan shows that every head
+    line is a row and ends at a newline byte. The scan reads the head in
+    blocks, so its memory does not grow with the file.
+    """
+    if not _can_fork():
+        return None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _SPLIT_MIN_BYTES:
+            return None
+        fh.seek(size // 2)
+        end = size // 2 + len(fh.readline())
+        if end >= size:  # no newline past the middle, or nothing after it
+            return None
+        fh.seek(0)
+        if fh.read(len(_BOM)) != _BOM:
+            fh.seek(0)
+        lines = commas = bare_cr = 0
+        last = b"\n"  # the byte before each block; the head starts a line
+        for start in range(fh.tell(), end, _SCAN_BLOCK):
+            block = fh.read(min(_SCAN_BLOCK, end - start))
+            codes = np.frombuffer(last + block, dtype=np.uint8)
+            newline = codes == ord("\n")
+            lines += int(np.count_nonzero(newline[1:]))
+            if delimiter is None:
+                if (
+                    not block.isascii()
+                    or any(byte in block for byte in _WHITESPACE)
+                    or (newline[1:] & newline[:-1]).any()
+                ):
+                    return None
+            else:
+                # A line with no comma, such as an empty one, balances the
+                # count only beside a line of three or more fields, and then
+                # neither the halves nor the whole file parse to two columns.
+                # A quote could hold a newline, and a bare CR ends a line too.
+                if b'"' in block:
+                    return None
+                commas += int(np.count_nonzero(codes[1:] == ord(delimiter)))
+                bare_cr += int(np.count_nonzero((codes[:-1] == ord("\r")) & ~newline[1:]))
+            last = block[-1:]
+    if delimiter is not None and (commas != lines or bare_cr):
+        return None
+    return lines
+
+
+def _send_tail(path, lines: int, read_fd: int, write_fd: int, kwargs) -> None:
+    """In the forked child: parse the lines after ``lines``, send them, exit.
+
+    Sends the rows' shape as two int64 and then their float64 bytes.
+    Leaves by ``os._exit`` whatever happens, so no exit handler runs and
+    no inherited stdio buffer is flushed twice.
+    """
+    status = 1
+    try:
+        os.close(read_fd)  # so a write fails once the parent stops reading
+        tail = _parse(path, skiprows=lines, ndmin=2, **kwargs)
+        if tail is not None:
+            with open(write_fd, "wb") as pipe:
+                pipe.write(np.array(tail.shape, dtype=np.int64).tobytes())
+                pipe.write(tail.reshape(-1).view(np.uint8))
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive_rows(pipe, path, lines: int, kwargs) -> np.ndarray | None:
+    """Parse the head here, then append the child's tail from ``pipe``."""
+    head = _parse(path, max_rows=lines, ndmin=2, **kwargs)
+    if head is None or len(head) != lines:
+        return None
+    shape = pipe.read(16)
+    if len(shape) != 16:
+        return None
+    tail_rows, width = np.frombuffer(shape, dtype=np.int64).tolist()
+    if width != head.shape[1]:
+        return None
+    rows = np.empty((lines + tail_rows, width))
+    rows[:lines] = head
+    tail = rows[lines:].reshape(-1).view(np.uint8)
+    return rows if pipe.readinto(tail) == tail.size else None
+
+
+def _parse_halves(path, lines: int, kwargs) -> np.ndarray | None:
+    """Rows of ``path`` parsed on two cores, or None on any failure.
+
+    The parent parses the first ``lines`` lines while a forked child
+    parses the rest, and reaps the child before it returns or raises.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns on fork in a process with threads, and
+            # numpy's OpenBLAS pool is one. The child is safe: it only
+            # parses and exits, and OpenBLAS quiesces its pool in its
+            # pthread_atfork handler.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _send_tail(path, lines, read_fd, write_fd, kwargs)
+    os.close(write_fd)
+    rows = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            rows = _receive_rows(pipe, path, lines, kwargs)
+    finally:
+        if rows is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    return rows if status == 0 else None
+
+
+def _loadtxt(path, ndmin: int, **kwargs) -> np.ndarray | None:
+    """Parse a whole file with ``np.loadtxt``, or return None if it raises.
+
+    This is only the fast path. Anything it cannot parse cleanly goes to
+    the line-by-line readers below, which own every error message and
+    accept whatever ``float()`` accepts. A large file is parsed in two
+    halves on two cores, with the same result as one ``np.loadtxt``.
+    """
+    lines = _head_lines(path, kwargs.get("delimiter"))
+    rows = None if lines is None else _parse_halves(path, lines, kwargs)
+    if rows is None:
+        return _parse(path, ndmin=ndmin, **kwargs)
+    if ndmin == 1:  # shaped as np.loadtxt shapes it
+        rows = np.atleast_1d(rows.squeeze())
+    return rows
 
 
 def _non_finite(path, lineno: int, text) -> SeriesFormatError:

@@ -82,7 +82,8 @@ def reject_rows(method: str, p: np.ndarray, sizes, alpha: float):
 
     ``p`` holds row 0's p-values, then row 1's, and so on; ``sizes``
     counts each row. Returns each row's p-threshold (as in
-    :class:`MtpDecision`) and the rejection mask over ``p``. BH rejects
+    :class:`MtpDecision`) and the rejection mask over ``p``. BH sorts
+    the rows as one ``(rows, max m)`` table padded with +inf, and rejects
     ``p <= alpha k / m``: exactly the ``k`` smallest, since a later
     p-value under that bound would pass the step-up test itself.
     """
@@ -91,12 +92,15 @@ def reject_rows(method: str, p: np.ndarray, sizes, alpha: float):
     if method == "bonferroni":
         scaled = np.full(sizes.size, alpha)
     else:
+        width = int(sizes.max(initial=0))
         start = np.cumsum(sizes) - sizes
-        rank = np.arange(1, p.size + 1) - start[row]
-        passed = p[np.lexsort((p, row))] <= alpha * rank / sizes[row]
-        k = np.zeros(sizes.size, dtype=np.int64)
-        np.maximum.at(k, row[passed], rank[passed])
-        scaled = alpha * k
+        table = np.full((sizes.size, width), math.inf)
+        table[row, np.arange(p.size) - start[row]] = p
+        table.sort(axis=1)
+        rank = np.arange(1, width + 1)
+        # The padding never passes; an empty row divides by 1, not 0.
+        passed = table <= alpha * rank / np.maximum(sizes, 1)[:, None]
+        scaled = alpha * np.max(passed * rank, axis=1, initial=0)
     threshold = np.full(sizes.size, math.inf)
     np.divide(scaled, sizes, out=threshold, where=sizes > 0)
     mask = p < threshold[row] if method == "bonferroni" else p <= threshold[row]

@@ -1,14 +1,21 @@
 """Tests for file formats, report writing, and the command line."""
 
 import hashlib
+import io
 import json
 import math
+import os
 import re
+import signal
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from peaksig import (
     DetectorConfig,
@@ -266,6 +273,275 @@ class TestInputEncoding:
         src.write_bytes(b"\xff\xfe0\x00.\x005\x00\n\x00")
         assert main([command, str(src), "--gamma", "3"]) == 2
         assert f"{src}: not UTF-8 text" in capsys.readouterr().err
+
+
+def load_or_error(path, fmt):
+    """What ``load_series`` gives: the series' bits, or its error text."""
+    try:
+        s = load_series(path, fmt)
+    except SeriesFormatError as exc:
+        return str(exc)
+    return s.values.tobytes(), s.values.shape, s.spacing, s.origin
+
+
+ROW = {"plain": lambda i, v: repr(v), "csv": lambda i, v: f"{0.5 * i!r},{v!r}"}
+# Lines that np.loadtxt skips, parses differently from one number per
+# line, or refuses, so that the head scan, the fallback and the line
+# readers all get their turn on both sides of the split.
+ODD_LINES = {
+    "plain": [
+        b"", b"   ", b"\t", b"\x0b", b"\x1c", b"\xc2\xa0", b"\xe2\x80\xa8", b" 2.5 ",
+        b"1.5  ", b"nan", b"1e400", b"-inf", b"abc", b"1 2", b"1_0", b"\xff\xfe", BOM,
+    ],
+    "csv": [
+        b"", b"  ", b"\t", b'"0.5","1.5"', b'"0.5\n",1', b'0,"2\r\n3"', b"1,2,3", b"7",
+        b"nan,1", b"1,1e400", b"time,value", b"\xff\xfe,1", b",", b"0.5,1 ", b"1_0,2",
+    ],
+}
+
+
+@st.composite
+def series_bytes(draw, fmt):
+    """A small series file in ``fmt`` with a few odd lines and endings."""
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40))
+    lines = [ROW[fmt](i, v).encode() for i, v in enumerate(values)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES[fmt])))
+    line_ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    endings = [draw(line_ends)] * len(lines)
+    if draw(st.booleans()):
+        endings[draw(st.integers(0, len(lines) - 1))] = draw(line_ends)
+    if not draw(st.booleans()):
+        endings[-1] = b""
+    head = BOM if draw(st.booleans()) else b""
+    return head + b"".join(line + end for line, end in zip(lines, endings))
+
+
+@pytest.fixture
+def split_small(monkeypatch):
+    """Parse even tiny files in two halves, and count the forks."""
+    monkeypatch.setattr(peaksig_io, "_SPLIT_MIN_BYTES", 0)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_FILES = {
+    "plain": b"".join(b"%r\n" % v for v in np.linspace(-3, 3, 40).tolist()),
+    "csv": b"".join(b"%r,%r\n" % (0.25 * i, i % 7 - 3.5) for i in range(40)),
+}
+
+
+# One line inserted into a split file, before its first line, in its head
+# or in its tail.
+EDGE_LINES = {
+    "plain": [
+        b"\n", b"   \n", b"\xc2\xa0\n", b"2.5  \n", b"nan\n", b"1e400\n", b"abc\n", b"\xff\n",
+    ],
+    "csv": [
+        b"\n", b"  \n", b'"1","2"\n', b'"0.5\n",1\n', b"1,nan\n", b"abc\n", b"\xff,1\n", b"1,2,3\n",
+    ],
+}
+
+
+def with_line(raw: bytes, where: int, line: bytes) -> bytes:
+    lines = raw.splitlines(keepends=True)
+    lines.insert(where, line)
+    return b"".join(lines)
+
+
+def bare_cr_and_blank(raw: bytes) -> bytes:
+    # A bare CR ends a line but not a newline count; a blank line after it
+    # evens the count again.
+    lines = raw.splitlines(keepends=True)
+    lines[3] = lines[3][:-1] + b"\r"
+    lines.insert(6, b"\n")
+    return b"".join(lines)
+
+
+FILE_EDITS = {
+    "crlf": lambda raw: raw.replace(b"\n", b"\r\n"),
+    "bare cr": lambda raw: raw.replace(b"\n", b"\r"),
+    "bom": lambda raw: BOM + raw,
+    # The tail is one line of spaces, which holds no row.
+    "blank tail": lambda raw: raw + b" " * (len(raw) - 1),
+    "bare cr and blank": bare_cr_and_blank,
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestSplitParse:
+    """A file of at least ``_SPLIT_MIN_BYTES`` is parsed in two halves, the
+    tail in a forked child; the result must not depend on it."""
+
+    @pytest.mark.parametrize("fmt", sorted(ROW))
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_split_matches_serial(self, tmp_path, fmt, data):
+        raw = data.draw(series_bytes(fmt))
+        # A fresh name per file: truncating a file can cost a flush.
+        f = tmp_path / hashlib.sha256(raw).hexdigest()
+        if not f.exists():
+            f.write_bytes(raw)
+        block = data.draw(st.sampled_from([1, 2, 3, 7, 1 << 20]))
+        self.assert_split_matches_serial(f, fmt, block)
+
+    def assert_split_matches_serial(self, path, fmt, block=5):
+        # Small scan blocks put block ends inside lines and line ends.
+        serial = load_or_error(path, fmt)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(peaksig_io, "_SPLIT_MIN_BYTES", 0)
+            mp.setattr(peaksig_io, "_SCAN_BLOCK", block)
+            assert load_or_error(path, fmt) == serial
+
+    @pytest.mark.parametrize("where", [0, 5, 35], ids=["first", "head", "tail"])
+    @pytest.mark.parametrize(
+        "fmt,line", [(fmt, line) for fmt in sorted(EDGE_LINES) for line in EDGE_LINES[fmt]]
+    )
+    def test_edge_line_matches_serial(self, tmp_path, fmt, line, where):
+        f = tmp_path / "series"
+        f.write_bytes(with_line(SPLIT_FILES[fmt], where, line))
+        self.assert_split_matches_serial(f, fmt)
+
+    @pytest.mark.parametrize("block", [1, 5])
+    @pytest.mark.parametrize("edit", sorted(FILE_EDITS))
+    @pytest.mark.parametrize("fmt", sorted(ROW))
+    def test_edited_file_matches_serial(self, tmp_path, fmt, edit, block):
+        f = tmp_path / "series"
+        f.write_bytes(FILE_EDITS[edit](SPLIT_FILES[fmt]))
+        self.assert_split_matches_serial(f, fmt, block)
+
+    @pytest.mark.parametrize("edit", ["none", "bom", "crlf"])
+    @pytest.mark.parametrize("fmt", sorted(ROW))
+    def test_clean_file_takes_the_split(self, tmp_path, split_small, monkeypatch, fmt, edit):
+        if not peaksig_io._can_fork():
+            pytest.skip("the split needs two usable CPUs")
+        f = tmp_path / "series"
+        f.write_bytes(FILE_EDITS.get(edit, bytes)(SPLIT_FILES[fmt]))
+        halves = []
+        parse_halves = peaksig_io._parse_halves
+        monkeypatch.setattr(
+            peaksig_io, "_parse_halves", lambda *a: halves.append(parse_halves(*a)) or halves[-1]
+        )
+        got = load_series(f, fmt)
+        # A CR is whitespace to the plain scan, so CRLF plain files parse whole.
+        split = (fmt, edit) != ("plain", "crlf")
+        assert len(split_small) == split and all(h is not None for h in halves)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(peaksig_io, "_SPLIT_MIN_BYTES", 1 << 30)
+            want = load_series(f, fmt)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.spacing, got.origin) == (want.spacing, want.origin)
+
+    @pytest.mark.parametrize("fmt", sorted(ROW))
+    def test_no_split_beside_another_thread(self, tmp_path, split_small, fmt):
+        f = tmp_path / "series"
+        f.write_bytes(SPLIT_FILES[fmt])
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            load_series(f, fmt)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert split_small == []
+
+    def test_no_split_with_sigchld_ignored(self, tmp_path, split_small):
+        f = tmp_path / "series"
+        f.write_bytes(SPLIT_FILES["plain"])
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = load_series(f)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert split_small == []
+        assert got.values.tolist() == np.linspace(-3, 3, 40).tolist()
+
+    @pytest.mark.parametrize("fmt", sorted(ROW))
+    def test_failed_fork_parses_serially(self, tmp_path, monkeypatch, fmt):
+        f = tmp_path / "series"
+        f.write_bytes(SPLIT_FILES[fmt])
+        want = load_series(f, fmt)
+        monkeypatch.setattr(peaksig_io, "_SPLIT_MIN_BYTES", 0)
+
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert load_series(f, fmt).values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("fmt", sorted(ROW))
+    def test_child_reaped_after_success_and_failure(self, tmp_path, split_small, fmt):
+        f = tmp_path / "series"
+        f.write_bytes(SPLIT_FILES[fmt])
+        load_series(f, fmt)
+        assert_no_child()
+        f.write_bytes(SPLIT_FILES[fmt] + b"abc\n" + SPLIT_FILES[fmt][:-1] + b"x\n")
+        with pytest.raises(SeriesFormatError, match="line 41"):
+            load_series(f, fmt)
+        assert_no_child()
+
+    def test_child_reaped_on_keyboard_interrupt(self, tmp_path, split_small, monkeypatch):
+        f = tmp_path / "series"
+        f.write_bytes(SPLIT_FILES["plain"])
+        parse = peaksig_io._parse
+
+        def interrupted_head(path, **kwargs):
+            if "max_rows" in kwargs:  # the parent's half; the child parses on
+                raise KeyboardInterrupt
+            return parse(path, **kwargs)
+
+        monkeypatch.setattr(peaksig_io, "_parse", interrupted_head)
+        with pytest.raises(KeyboardInterrupt):
+            load_series(f)
+        assert_no_child()
+
+    def test_unflushed_stdout_written_once(self, tmp_path, split_small, monkeypatch, capfd):
+        f = tmp_path / "series"
+        f.write_bytes(SPLIT_FILES["plain"])
+        out = io.TextIOWrapper(open(os.dup(1), "wb"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
+        sys.stdout.write("written before the load")
+        load_series(f)
+        out.close()
+        assert len(split_small) == 1
+        assert capfd.readouterr().out.count("written before the load") == 1
+
+    def test_no_warning_escapes(self, tmp_path, split_small, monkeypatch):
+        # Python >= 3.12 warns on fork in a process with threads, such as
+        # numpy's OpenBLAS pool; the wrapper warns as it would.
+        f = tmp_path / "series"
+        f.write_bytes(SPLIT_FILES["plain"])
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("this process is multi-threaded", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_series(f)
+        assert len(split_small) == 1
 
 
 @pytest.mark.parametrize("gamma", ["1e6", "1e15", "1e308"])

@@ -7,11 +7,11 @@ from the scalar height cdf, its flag from the decision's rejected
 indices. Truth accounting is checked against a per-peak loop
 over the intervals, one row at a time and as the harness's block of
 rows; the block rejection rule is checked row by row against the
-one-family Bonferroni and BH it replaced. The height cdf and the
-smoother are checked against their defining properties; the smoother
-is also checked against its two-convolution definition. The smoother
-and the maxima search on a block of rows are checked against one-row
-calls.
+one-family Bonferroni and BH it replaced, and BH also against the
+textbook step-up loop. The height cdf and the smoother are checked
+against their defining properties; the smoother is also checked
+against its two-convolution definition. The smoother and the maxima
+search on a block of rows are checked against one-row calls.
 """
 
 import dataclasses
@@ -544,6 +544,44 @@ def test_block_rule_matches_reference_per_row(method, rows, alpha):
         assert threshold[r] == want.p_threshold
         got = np.flatnonzero(mask[start : start + len(row)]).tolist()
         assert got == sorted(want.rejected_indices)
+        start += len(row)
+
+
+def step_up_loop(row, alpha):
+    """BH on one row by the textbook loop: the largest i with p_(i) <= i alpha / m."""
+    m = len(row)
+    if m == 0:
+        return math.inf, [False] * m
+    ordered = sorted(row)
+    k = 0
+    for i in range(m, 0, -1):
+        if ordered[i - 1] <= alpha * i / m:
+            k = i
+            break
+    threshold = alpha * k / m
+    return threshold, [v <= threshold for v in row]
+
+
+# Rows drawn from few values tie often; rows of tiny values are all rejected.
+bh_rows = st.lists(
+    st.lists(pvalues, max_size=25)
+    | st.lists(st.sampled_from([1e-4, 0.01, 0.02, 1.0]), max_size=25)
+    | st.lists(st.floats(TINY, 1e-6), max_size=25),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bh_rows, alphas)
+def test_block_bh_matches_step_up_loop(rows, alpha):
+    sizes = [len(row) for row in rows]
+    p = np.array([v for row in rows for v in row], dtype=float)
+    threshold, mask = reject_rows("bh", p, sizes, alpha)
+    start = 0
+    for r, row in enumerate(rows):
+        want_threshold, want_mask = step_up_loop(row, alpha)
+        assert np.float64(threshold[r]).tobytes() == np.float64(want_threshold).tobytes()
+        assert mask[start : start + len(row)].tolist() == want_mask
         start += len(row)
 
 
