@@ -268,16 +268,13 @@ def _given(args, names) -> dict:
 
 def _detector_config(args) -> DetectorConfig:
     settings = _load_json_object(args.config, "detector config") if args.config else {}
-    _refuse_unknown(settings, _names(DetectorConfig), "detector config")
-    if isinstance(settings.get("moments_source"), dict):
-        settings["moments_source"] = _moments_source(settings["moments_source"])
     settings.update(_given(args, _names(DetectorConfig)))
-    source = _moments_source(_given(args, _SOURCE_KEYS))
-    if source is not None:
-        settings["moments_source"] = source
+    source = _given(args, _SOURCE_KEYS) or settings.get("moments_source")
+    if isinstance(source, dict):
+        settings["moments_source"] = _moments_source(source)
     if "gamma" not in settings:
         raise ValueError("a smoothing bandwidth is required (--gamma or config file)")
-    return DetectorConfig(**settings)
+    return _from_json(DetectorConfig, settings, "detector config")
 
 
 def _cmd_detect(args) -> int:
@@ -306,10 +303,15 @@ def _sim_config(args) -> SimConfig:
     design = settings.pop("design", None)
     if design is not None:
         settings = {**design, **settings}
-    settings.setdefault("workers", int(os.environ.get("PEAKSIG_WORKERS", "1")))
+    if "workers" not in settings:  # read only when it is used
+        text = os.environ.get("PEAKSIG_WORKERS", "1")
+        try:
+            settings["workers"] = int(text)
+        except ValueError:
+            raise ValueError(f"PEAKSIG_WORKERS must be an integer, got {text!r}") from None
     if design is None:
         return _from_json(SimConfig, settings, "simulation config")
-    return standard_design(**settings)  # its signature refuses unknown keys
+    return standard_design(**settings)  # SimConfig refuses a key it lacks
 
 
 def _cmd_simulate(args) -> int:

@@ -28,6 +28,7 @@ maximum.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -361,6 +362,12 @@ def _run_block(task):
     return np.stack(counts, axis=1).reshape(shape)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _sample_se(x: np.ndarray) -> float:
     if x.size < 2:
         return 0.0
@@ -371,19 +378,20 @@ def run_simulation(config: SimConfig) -> SimReport:
     """Run the full study and reduce to per-(gamma, method) estimates.
 
     Replications are independent and run in blocks of rows: at least
-    ``config.workers`` blocks, each of at most ``_BLOCK_SAMPLES`` samples
+    one block per worker, each of at most ``_BLOCK_SAMPLES`` samples
     (rows times grid length), so memory stays bounded at any replication
-    count. With ``config.workers > 1`` the blocks are distributed over
-    processes. Per-replication results are reassembled in replication
-    order before reduction, so the report does not depend on the block
-    split or the worker count.
+    count. The blocks go to ``min(config.workers, blocks, usable CPUs)``
+    processes, never more than can run. Per-replication results are
+    reassembled in replication order before reduction, so the report
+    does not depend on the block split or the worker count.
     """
     n = config.replications
     rows = max(1, _BLOCK_SAMPLES // config.grid.length)
-    k = min(n, max(config.workers, -(-n // rows)))
+    workers = min(config.workers, _usable_cpus())
+    k = min(n, max(workers, -(-n // rows)))
     tasks = [(config, n * i // k, n * (i + 1) // k) for i in range(k)]
-    if config.workers > 1 and k > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    if workers > 1 and k > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, k)) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
         blocks = list(map(_run_block, tasks))
@@ -426,14 +434,9 @@ def standard_design(
     peak_truncation: float = 2.0,
     sigma: float = 1.0,
     gammas: tuple[float, ...] = (3.0,),
-    alpha: float = 0.05,
-    methods: tuple[str, ...] = ("bonferroni", "bh"),
-    replications: int = 1000,
-    base_seed: int = 0,
     signal_fraction: float = 0.12,
     spacing: float = 1.0,
-    kernel_truncation: float = DEFAULT_KERNEL_TRUNCATION,
-    workers: int = 1,
+    **study,
 ) -> SimConfig:
     """Equally spaced, equal-amplitude peak train on a window sized to
     keep the signal fraction fixed.
@@ -441,7 +444,8 @@ def standard_design(
     Peak ``j`` sits at ``peak_spacing * (j + 1/2)``. The window length
     is ``|union of supports| / signal_fraction``, so shrinking
     ``peak_spacing`` into the overlapping regime shrinks the window
-    with it, preserving the null/signal balance.
+    with it, preserving the null/signal balance. Other keywords go to
+    :class:`SimConfig`, which refuses unknown ones and layout fields.
     """
     width = 2.0 * peak_truncation * peak_scale
     union = num_peaks * width - (num_peaks - 1) * max(0.0, width - peak_spacing)
@@ -453,14 +457,9 @@ def standard_design(
         signal=SignalSpec(peaks, peak_scale, peak_truncation),
         noise=NoiseSpec(sigma, nu),
         grid=Grid(length, spacing, 0.0),
-        gammas=tuple(gammas),
-        alpha=alpha,
-        methods=tuple(methods),
-        replications=replications,
-        base_seed=base_seed,
-        kernel_truncation=kernel_truncation,
+        gammas=gammas,
         peak_spacing=peak_spacing,
-        workers=workers,
+        **study,
     )
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import DetectionResult
-from .evaluation import SimCell, SimReport
+from .evaluation import SimCell, SimReport, _usable_cpus
 from .maxima import Candidates
 from .series import SampledSeries
 
@@ -74,12 +74,12 @@ _WHITESPACE = b" \t\r\v\f\x1c\x1d\x1e\x1f"
 
 
 def _parse(path, **kwargs) -> np.ndarray | None:
-    """``np.loadtxt`` over ``path``, or None if it raises."""
+    """``np.loadtxt`` rows of ``path``, always 2-D, or None if it raises."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file warns
             return np.loadtxt(
-                path, dtype=float, comments=None, encoding="utf-8-sig", **kwargs
+                path, dtype=float, comments=None, encoding="utf-8-sig", ndmin=2, **kwargs
             )
     except (ValueError, OSError):
         return None
@@ -96,9 +96,7 @@ def _can_fork() -> bool:
         return False
     if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
         return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+    return _usable_cpus() > 1
 
 
 def _head_lines(path, delimiter) -> int | None:
@@ -163,7 +161,7 @@ def _send_tail(path, lines: int, read_fd: int, write_fd: int, kwargs) -> None:
     status = 1
     try:
         os.close(read_fd)  # so a write fails once the parent stops reading
-        tail = _parse(path, skiprows=lines, ndmin=2, **kwargs)
+        tail = _parse(path, skiprows=lines, **kwargs)
         if tail is not None:
             with open(write_fd, "wb") as pipe:
                 pipe.write(np.array(tail.shape, dtype=np.int64).tobytes())
@@ -175,7 +173,7 @@ def _send_tail(path, lines: int, read_fd: int, write_fd: int, kwargs) -> None:
 
 def _receive_rows(pipe, path, lines: int, kwargs) -> np.ndarray | None:
     """Parse the head here, then append the child's tail from ``pipe``."""
-    head = _parse(path, max_rows=lines, ndmin=2, **kwargs)
+    head = _parse(path, max_rows=lines, **kwargs)
     if head is None or len(head) != lines:
         return None
     shape = pipe.read(16)
@@ -223,21 +221,17 @@ def _parse_halves(path, lines: int, kwargs) -> np.ndarray | None:
     return rows if status == 0 else None
 
 
-def _loadtxt(path, ndmin: int, **kwargs) -> np.ndarray | None:
-    """Parse a whole file with ``np.loadtxt``, or return None if it raises.
+def _loadtxt(path, **kwargs) -> np.ndarray | None:
+    """The rows of a whole file, 2-D, or None if ``np.loadtxt`` raises.
 
-    This is only the fast path. Anything it cannot parse cleanly goes to
-    the line-by-line readers below, which own every error message and
-    accept whatever ``float()`` accepts. A large file is parsed in two
-    halves on two cores, with the same result as one ``np.loadtxt``.
+    This is only the fast path. Anything it cannot parse cleanly, a row
+    of the wrong width included, goes to the line-by-line readers below,
+    which own every error message and accept whatever ``float()``
+    accepts. A large file is parsed in halves on two cores, as one pass.
     """
     lines = _head_lines(path, kwargs.get("delimiter"))
     rows = None if lines is None else _parse_halves(path, lines, kwargs)
-    if rows is None:
-        return _parse(path, ndmin=ndmin, **kwargs)
-    if ndmin == 1:  # shaped as np.loadtxt shapes it
-        rows = np.atleast_1d(rows.squeeze())
-    return rows
+    return _parse(path, **kwargs) if rows is None else rows
 
 
 def _non_finite(path, lineno: int, text) -> SeriesFormatError:
@@ -268,16 +262,16 @@ def _read_plain_lines(path) -> np.ndarray:
         if not math.isfinite(value):
             raise _non_finite(path, lineno, text)
         values.append(value)
-    return np.array(values)
+    return np.array(values).reshape(-1, 1)
 
 
 def _load_plain(path, spacing: float, origin: float) -> SampledSeries:
-    values = _loadtxt(path, ndmin=1)
-    if values is None or values.ndim != 1 or not np.isfinite(values).all():
-        values = _read_plain_lines(path)
-    if not values.size:
+    rows = _loadtxt(path)
+    if rows is None or rows.shape[1:] != (1,) or not np.isfinite(rows).all():
+        rows = _read_plain_lines(path)
+    if not rows.size:
         raise SeriesFormatError(f"{path}: no samples found")
-    return SampledSeries(values, spacing=spacing, origin=origin)
+    return SampledSeries(rows[:, 0], spacing=spacing, origin=origin)
 
 
 def _read_csv_rows(path) -> np.ndarray:
@@ -303,7 +297,7 @@ def _read_csv_rows(path) -> np.ndarray:
 
 
 def _load_csv(path) -> SampledSeries:
-    rows = _loadtxt(path, delimiter=",", quotechar='"', ndmin=2)
+    rows = _loadtxt(path, delimiter=",", quotechar='"')
     if rows is None or rows.shape[1:] != (2,) or not np.isfinite(rows).all():
         rows = _read_csv_rows(path)
     if rows.shape[0] < 2:

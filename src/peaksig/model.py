@@ -93,13 +93,12 @@ class NoiseSpec:
             raise ValueError("noise bandwidth nu must be >= 0")
 
 
-def synthesize_signal(spec: SignalSpec, grid) -> SampledSeries:
-    """Sample the peak train on ``grid``.
+def synthesize_signal(spec: SignalSpec, grid: Grid) -> SampledSeries:
+    """Sample the peak train on ``grid``, a :class:`Grid`.
 
     Each peak contributes ``a / b * phi((t - tau) / b)`` on
     ``|t - tau| <= c_h * b`` and exactly zero outside.
     """
-    grid = Grid.coerce(grid)
     values = np.zeros(grid.length)
     half = spec.support_half_width
     b = spec.peak_scale
@@ -115,8 +114,8 @@ def synthesize_signal(spec: SignalSpec, grid) -> SampledSeries:
     return SampledSeries(values, grid.spacing, grid.origin)
 
 
-def synthesize_noise(spec: NoiseSpec, grid, seed: int) -> SampledSeries:
-    """Draw one noise realization on ``grid``.
+def synthesize_noise(spec: NoiseSpec, grid: Grid, seed: int) -> SampledSeries:
+    """Draw one noise realization on ``grid``, a :class:`Grid`.
 
     The white sequence has per-sample variance ``sigma^2 / spacing``.
     For ``nu > 0`` it is drawn on an internally extended grid and
@@ -124,7 +123,6 @@ def synthesize_noise(spec: NoiseSpec, grid, seed: int) -> SampledSeries:
     4 nu), so the returned samples are stationary with no edge
     artifacts. Identical (spec, grid, seed) give identical output.
     """
-    grid = Grid.coerce(grid)
     rng = np.random.default_rng(seed)
     scale = spec.sigma / np.sqrt(grid.spacing)
     if spec.nu == 0:
@@ -139,10 +137,9 @@ def synthesize_noise(spec: NoiseSpec, grid, seed: int) -> SampledSeries:
 
 
 def synthesize_dataset(
-    signal: SignalSpec, noise: NoiseSpec, grid, seed: int
+    signal: SignalSpec, noise: NoiseSpec, grid: Grid, seed: int
 ) -> SampledSeries:
-    """Signal plus noise; elementwise sum of the two synthesis paths."""
-    grid = Grid.coerce(grid)
+    """Signal plus noise on the :class:`Grid` ``grid``, summed elementwise."""
     mu = synthesize_signal(signal, grid)
     z = synthesize_noise(noise, grid, seed)
     return SampledSeries(mu.values + z.values, grid.spacing, grid.origin)

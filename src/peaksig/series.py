@@ -26,13 +26,6 @@ class Grid:
         if not np.isfinite(self.origin):
             raise ValueError("grid origin must be finite")
 
-    @classmethod
-    def coerce(cls, grid) -> "Grid":
-        """Accept a Grid or a (length, spacing, origin) tuple."""
-        if isinstance(grid, Grid):
-            return grid
-        return cls(*grid)
-
     def times(self) -> np.ndarray:
         return self.origin + self.spacing * np.arange(self.length)
 

@@ -124,6 +124,10 @@ class TestLoadSeriesPlain:
         f.write_text("1 2\n3 4\n")
         with pytest.raises(SeriesFormatError, match="line 1: expected one number"):
             load_series(f)
+        # Also when that line is the file's only one.
+        f.write_text("1 2 3\n")
+        with pytest.raises(SeriesFormatError, match="line 1: expected one number"):
+            load_series(f)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_names_line(self, tmp_path, bad):
@@ -769,6 +773,18 @@ class TestCliDetect:
         rebuilt = cli._detector_config(parsed(["detect", str(src), "--config", str(cfg)]))
         assert rebuilt == cli._detector_config(parsed(argv))
 
+        # Whole floats written as JSON integers are echoed as the flags echo them.
+        def as_ints(value):
+            if isinstance(value, dict):
+                return {k: as_ints(v) for k, v in value.items()}
+            return int(value) if isinstance(value, float) and value.is_integer() else value
+
+        echo = json.loads(first.read_text())["config"]
+        cfg.write_text(json.dumps(as_ints(echo)))
+        second = tmp_path / "second.json"
+        assert main(["detect", str(src), "--config", str(cfg), "--output", str(second)]) == 0
+        assert json.dumps(json.loads(second.read_text())["config"]) == json.dumps(echo)
+
     def test_missing_gamma(self, tmp_path):
         src = tmp_path / "series.txt"
         write_noise_file(src)
@@ -777,10 +793,13 @@ class TestCliDetect:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.txt"), "--gamma", "3"]) == 2
 
-    def test_malformed_input_exit_2(self, tmp_path):
+    def test_malformed_input_exit_2(self, tmp_path, capsys):
         src = tmp_path / "series.txt"
         src.write_text("1\nbogus\n")
         assert main(["detect", str(src), "--gamma", "3"]) == 2
+        src.write_text("1 2 3\n")
+        assert main(["detect", str(src), "--gamma", "0.5", "--noise-sigma", "1"]) == 2
+        assert "line 1: expected one number, got '1 2 3'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
     def test_non_finite_plain_exit_2(self, tmp_path, capsys, bad):
@@ -926,6 +945,11 @@ class TestCliSimulate:
         assert workers(None, None, "3") == 3
         assert workers(2, None, "3") == 2
         assert workers(2, "4", "3") == 4
+        # PEAKSIG_WORKERS is read only when neither the flag nor the file sets workers.
+        assert workers(None, "1", "two") == 1
+        assert workers(2, None, "two") == 2
+        with pytest.raises(ValueError, match="PEAKSIG_WORKERS must be an integer, got 'two'"):
+            workers(None, None, "two")
 
     @pytest.mark.parametrize(
         "block, key",
@@ -936,6 +960,18 @@ class TestCliSimulate:
         (study if block is None else study[block])[key] = 5
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid", {"length": 100}), ("signal", {"peak_scale": 3}), ("num_peak", 2)],
+    )
+    def test_design_key_refused(self, tmp_path, capsys, monkeypatch, key, value):
+        # A layout field clashes with the design; an unknown key is no SimConfig field.
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"design": {"num_peaks": 2}, "gammas": [3], key: value}))
         monkeypatch.setattr(cli, "run_simulation", refuse)
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert f"'{key}'" in capsys.readouterr().err

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+from peaksig import evaluation
 from peaksig import (
     DEFAULT_BANDWIDTH_GRID,
     Candidates,
@@ -15,6 +17,7 @@ from peaksig import (
     Grid,
     NoiseSpec,
     SignalSpec,
+    SimConfig,
     SpectralMoments,
     bonferroni,
     classify,
@@ -214,6 +217,16 @@ class TestStandardDesign:
         assert config.replications == 50
         assert config.base_seed == 9
 
+    def test_study_fields_are_simconfig_defaults(self):
+        config = standard_design()
+        defaults = {
+            f.name: f.default
+            for f in dataclasses.fields(SimConfig)
+            if f.default is not dataclasses.MISSING and f.name != "peak_spacing"
+        }
+        assert defaults
+        assert {name: getattr(config, name) for name in defaults} == defaults
+
 
 class TestSimConfigValidation:
     def test_rejects_bad_values(self):
@@ -273,6 +286,35 @@ class TestRunSimulation:
         serial = run_simulation(self.CONFIG)
         parallel = run_simulation(dataclasses.replace(self.CONFIG, workers=2))
         assert serial.cells == parallel.cells
+
+    @pytest.mark.parametrize(
+        "cpus, workers, started",
+        [(3, 5000, [3]), (64, 5000, [12]), (8, 2, [2]), (1, 4, [])],
+        ids=["cpus", "blocks", "workers", "one-cpu"],
+    )
+    def test_processes_capped(self, monkeypatch, cpus, workers, started):
+        # At most min(workers, blocks, usable CPUs) processes; no real one starts.
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run_simulation(dataclasses.replace(self.CONFIG, workers=workers))
+        assert pools == started
+        assert report.cells == run_simulation(self.CONFIG).cells
 
     def test_cell_lookup(self):
         report = run_simulation(self.CONFIG)

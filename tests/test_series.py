@@ -9,11 +9,6 @@ class TestGrid:
         g = Grid(5, 0.5, 10.0)
         np.testing.assert_allclose(g.times(), [10.0, 10.5, 11.0, 11.5, 12.0])
 
-    def test_coerce_tuple(self):
-        g = Grid.coerce((4, 2.0, 1.0))
-        assert (g.length, g.spacing, g.origin) == (4, 2.0, 1.0)
-        assert Grid.coerce(g) is g
-
     @pytest.mark.parametrize(
         "length,spacing,origin",
         [
