@@ -212,29 +212,67 @@ def _names(cls) -> set[str]:
 
 # Config fields spelled as nested JSON objects, by their annotation.
 _NESTED = {cls.__name__: cls for cls in (SignalSpec, NoiseSpec, Grid)}
-_FLOAT_TYPES = ("float", "float | None")
+# Numeric fields, by their annotation.
+_FLOATS = ("float", "float | None")
+_FLOAT_LISTS = ("tuple[float, ...]", "tuple[tuple[float, float], ...]")  # gammas, peaks
+# The design layout's parameters and the study fields it passes on.
+_DESIGN_KINDS = {f.name: f.type for f in fields(SimConfig)} | {
+    k: v for k, v in standard_design.__annotations__.items() if k != "return"
+}
+
+
+def _number(value, where: str, key: str):
+    """``value`` if it is a JSON number; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} key {key!r} must be a number, got {json.dumps(value)}")
+    return value
+
+
+def _floats(value, where: str, key: str) -> tuple:
+    """A JSON list of numbers, or of lists of them, as a tuple of floats."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where} key {key!r} must be a list, got {json.dumps(value)}")
+    return tuple(
+        _floats(v, where, f"{key}[{i}]") if isinstance(v, (list, tuple))
+        else float(_number(v, where, f"{key}[{i}]"))
+        for i, v in enumerate(value)
+    )
+
+
+def _read_fields(kinds: dict, block: dict, where: str) -> dict:
+    """``block`` with each key read by its annotation in ``kinds``.
+
+    Numeric fields, list items included, must be JSON numbers: a bool or
+    a string is refused by name. Float fields become floats, so a JSON
+    ``1`` is echoed as ``1.0``; nested specs are read as objects. Keys
+    ``kinds`` does not know pass through for the caller to refuse.
+    """
+    read = {}
+    for key, value in block.items():
+        kind = kinds.get(key)
+        if kind in _NESTED:
+            value = _from_json(_NESTED[kind], value, key)
+        elif kind in _FLOAT_LISTS:
+            value = _floats(value, where, key)
+        elif value is not None and kind in _FLOATS:
+            value = float(_number(value, where, key))
+        elif kind == "int":
+            value = _number(value, where, key)
+        read[key] = value
+    return read
 
 
 def _from_json(cls, block, where: str):
     """``cls`` from the JSON object ``block``: keys must be fields, fields
-    without a default must be given, nested specs are read alike, and float
-    fields as floats, so a JSON ``1`` is echoed as ``1.0``."""
+    without a default must be given, and values are read by
+    :func:`_read_fields`."""
     if not isinstance(block, dict):
         raise ValueError(f"{where} must be a JSON object")
     _refuse_unknown(block, _names(cls), where)
-    kwargs = {}
     for f in fields(cls):
-        if f.name not in block:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"{where} missing key: {f.name!r}")
-            continue
-        value = block[f.name]
-        if f.type in _NESTED:
-            value = _from_json(_NESTED[f.type], value, f.name)
-        elif f.type in _FLOAT_TYPES and value is not None:
-            value = float(value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+        if f.name not in block and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where} missing key: {f.name!r}")
+    return cls(**_read_fields({f.name: f.type for f in fields(cls)}, block, where))
 
 
 _TRIPLE = _names(SpectralMoments)
@@ -254,7 +292,7 @@ def _moments_source(given: dict):
             "sigma2, lambda2, lambda4 must be given together, without sigma or nu"
         )
     cls = SpectralMoments if _TRIPLE & set(given) else NoiseSpec
-    return cls(**{k: float(v) for k, v in given.items()})
+    return _from_json(cls, given, "moments_source")
 
 
 def _given(args, names) -> dict:
@@ -302,7 +340,12 @@ def _sim_config(args) -> SimConfig:
     settings.update(_given(args, _names(SimConfig)))
     design = settings.pop("design", None)
     if design is not None:
-        settings = {**design, **settings}
+        if not isinstance(design, dict):
+            raise ValueError("design must be a JSON object")
+        settings = {
+            **_read_fields(_DESIGN_KINDS, design, "design"),
+            **_read_fields(_DESIGN_KINDS, settings, "simulation config"),
+        }
     if "workers" not in settings:  # read only when it is used
         text = os.environ.get("PEAKSIG_WORKERS", "1")
         try:

@@ -10,7 +10,8 @@ parsed as two halves on two cores, the second in a forked child, with
 the same result as one pass. Reports go out as JSON
 (self-contained) or CSV (tabular rows plus a ``.manifest.json`` sidecar
 carrying the provenance block: tool, version, UTC timestamp, input
-digest, configuration echo).
+digest, configuration echo). A report of ``_SPLIT_MIN_ROWS`` rows or
+more is formatted on two cores the same way, with the same bytes.
 
 JSON uses the stdlib encoder, so infinite thresholds round-trip as
 ``Infinity``.
@@ -18,6 +19,7 @@ JSON uses the stdlib encoder, so infinite thresholds round-trip as
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -151,28 +153,57 @@ def _head_lines(path, delimiter) -> int | None:
     return lines
 
 
-def _send_tail(path, lines: int, read_fd: int, write_fd: int, kwargs) -> None:
-    """In the forked child: parse the lines after ``lines``, send them, exit.
+def _beside_child(child, parent):
+    """Run ``parent(pipe)`` here while a forked child sends ``child()``.
 
-    Sends the rows' shape as two int64 and then their float64 bytes.
-    Leaves by ``os._exit`` whatever happens, so no exit handler runs and
-    no inherited stdio buffer is flushed twice.
+    ``child`` returns the buffers to send, or None on failure; the child
+    writes them to a pipe and leaves by ``os._exit`` whatever happens, so
+    no exit handler runs and no inherited stdio buffer is flushed twice.
+    ``parent`` reads them from ``pipe`` and returns None on failure.
+    Returns what ``parent`` returned and whether the child exited 0, or
+    ``(None, False)`` if the fork fails. The child is killed if
+    ``parent`` fails or raises, and reaped before this returns or raises.
     """
-    status = 1
+    read_fd, write_fd = os.pipe()
     try:
-        os.close(read_fd)  # so a write fails once the parent stops reading
-        tail = _parse(path, skiprows=lines, **kwargs)
-        if tail is not None:
-            with open(write_fd, "wb") as pipe:
-                pipe.write(np.array(tail.shape, dtype=np.int64).tobytes())
-                pipe.write(tail.reshape(-1).view(np.uint8))
-            status = 0
+        with warnings.catch_warnings():
+            # Python 3.12 warns on fork in a process with threads, and
+            # numpy's OpenBLAS pool is one. The child is safe: it only
+            # computes, writes to the pipe and exits, and OpenBLAS
+            # quiesces its pool in its pthread_atfork handler.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None, False
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)  # so a write fails once the parent stops reading
+            parts = child()
+            if parts is not None:
+                with open(write_fd, "wb") as pipe:
+                    for part in parts:
+                        pipe.write(part)
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    result = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            result = parent(pipe)
     finally:
-        os._exit(status)
+        if result is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    return result, status == 0
 
 
 def _receive_rows(pipe, path, lines: int, kwargs) -> np.ndarray | None:
-    """Parse the head here, then append the child's tail from ``pipe``."""
+    """Parse the head here, then read the child's tail from ``pipe``
+    (its shape as two int64, then its float64 bytes) into the result."""
     head = _parse(path, max_rows=lines, **kwargs)
     if head is None or len(head) != lines:
         return None
@@ -189,36 +220,18 @@ def _receive_rows(pipe, path, lines: int, kwargs) -> np.ndarray | None:
 
 
 def _parse_halves(path, lines: int, kwargs) -> np.ndarray | None:
-    """Rows of ``path`` parsed on two cores, or None on any failure.
+    """Rows of ``path`` parsed on two cores, or None on any failure: the
+    parent parses the first ``lines`` lines while a forked child parses
+    the rest."""
 
-    The parent parses the first ``lines`` lines while a forked child
-    parses the rest, and reaps the child before it returns or raises.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns on fork in a process with threads, and
-            # numpy's OpenBLAS pool is one. The child is safe: it only
-            # parses and exits, and OpenBLAS quiesces its pool in its
-            # pthread_atfork handler.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        _send_tail(path, lines, read_fd, write_fd, kwargs)
-    os.close(write_fd)
-    rows = None
-    try:
-        with open(read_fd, "rb") as pipe:
-            rows = _receive_rows(pipe, path, lines, kwargs)
-    finally:
+    def tail():
+        rows = _parse(path, skiprows=lines, **kwargs)
         if rows is None:
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    return rows if status == 0 else None
+            return None
+        return np.array(rows.shape, dtype=np.int64), rows.reshape(-1).view(np.uint8)
+
+    rows, ok = _beside_child(tail, lambda pipe: _receive_rows(pipe, path, lines, kwargs))
+    return rows if ok else None
 
 
 def _loadtxt(path, **kwargs) -> np.ndarray | None:
@@ -413,43 +426,63 @@ def _write_rows_csv(path, header: list, rows: list, manifest: dict) -> None:
 # Report rows are formatted straight from the candidate columns, one block
 # at a time. The templates spell each row exactly as ``json.dump(...,
 # indent=2)`` and ``csv.writer`` would; the golden-bytes tests pin that.
+# A JSON row starts with the comma before it, so the first row's is dropped.
 _ROW_FIELDS = ("index", "time", "height", "p_value", "rejected")
 _ROW_BLOCK = 4096
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{f}": %s' for f in _ROW_FIELDS) + "\n    }"
-_CSV_ROW = "%d,%r,%r,%r,%d\r\n"
-_JSON_BOOL = {False: "false", True: "true"}
+# format -> (row template, spelling of a non-finite float, of False and True)
+_ROW_FORMATS = {
+    "json": (
+        ",\n    {\n" + ",\n".join(f'      "{f}": %s' for f in _ROW_FIELDS) + "\n    }",
+        json.dumps,  # Infinity, NaN
+        ("false", "true"),
+    ),
+    "csv": ("%s,%s,%s,%s,%s\r\n", float.__repr__, ("0", "1")),
+}
+# A report of this many rows is formatted on two cores.
+_SPLIT_MIN_ROWS = 1 << 14
+# Hashing this many input bytes takes about as long as formatting one row
+# (sha256 at ~1 GB/s against ~2.8 us a row, 2-vCPU Xeon), so the process
+# that hashes formats that many fewer rows.
+_HASHED_BYTES_PER_ROW = 2048
+# The second half of a split report is copied out in chunks of this size.
+_COPY_CHUNK = 1 << 16
 
 
-def _json_floats(values: list) -> list:
-    """Floats as the JSON encoder spells them (``Infinity`` rather than ``inf``)."""
+def _spelled(values: list, non_finite) -> list:
+    """Floats as ``repr`` spells them, a non-finite one as ``non_finite`` does."""
     texts = list(map(float.__repr__, values))
     if not all(map(math.isfinite, values)):
-        texts = [t if math.isfinite(v) else json.dumps(v) for t, v in zip(texts, values)]
+        texts = [t if math.isfinite(v) else non_finite(v) for t, v in zip(texts, values)]
     return texts
 
 
-def _stream_json_report(fh, head: dict, candidates: Candidates) -> None:
-    # ``head`` dumps to "{...\n}"; reopen it and append the rows as its last key.
-    fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "maxima": ')
-    n = len(candidates)
-    if n == 0:
-        fh.write("[]")
-    for start in range(0, n, _ROW_BLOCK):
-        index, time, height, p_value, rejected = _row_columns(
-            candidates, start, start + _ROW_BLOCK
-        )
+def _row_blocks(candidates: Candidates, start: int, stop: int, fmt: str):
+    """The text of rows ``[start, stop)``, one block of rows at a time."""
+    template, non_finite, bools = _ROW_FORMATS[fmt]
+    for block in range(start, stop, _ROW_BLOCK):
+        index, *floats, rejected = _row_columns(candidates, block, min(block + _ROW_BLOCK, stop))
         rows = zip(
             index,
-            _json_floats(time),
-            _json_floats(height),
-            _json_floats(p_value),
-            map(_JSON_BOOL.__getitem__, rejected),
+            *(_spelled(values, non_finite) for values in floats),
+            map(bools.__getitem__, rejected),
         )
-        fh.write("[\n" if start == 0 else ",\n")
-        fh.write(",\n".join(map(_JSON_ROW.__mod__, rows)))
-    if n:
-        fh.write("\n  ]")
-    fh.write("\n}\n")
+        yield "".join(map(template.__mod__, rows))
+
+
+def _write_rows(fh, candidates: Candidates, start: int, stop: int, fmt: str, skip: int) -> None:
+    """Write rows ``[start, stop)`` to ``fh``, less their first ``skip`` characters."""
+    for text in _row_blocks(candidates, start, stop, fmt):
+        fh.write(text[skip:])
+        skip = max(0, skip - len(text))
+
+
+def _copy_text(pipe, fh) -> int:
+    """Copy ASCII text from ``pipe`` to ``fh``; return the bytes copied."""
+    copied = 0
+    while chunk := pipe.read(_COPY_CHUNK):
+        fh.write(chunk.decode("ascii"))
+        copied += len(chunk)
+    return copied
 
 
 def write_detection_report(
@@ -466,25 +499,57 @@ def write_detection_report(
     candidate maximum and drops the provenance block into
     ``<path>.manifest.json``. Rows are streamed from the candidate
     columns in blocks, never built as per-candidate objects.
+
+    At least ``_SPLIT_MIN_ROWS`` rows are formatted on two cores: a forked
+    child formats the rows from ``seam`` on while this process hashes the
+    input and writes the head and the rows before ``seam``, and then
+    copies the child's text after them. Whatever the child does not
+    deliver, because the fork failed or the child did not exit cleanly,
+    is formatted here, so the bytes never depend on the split.
     """
-    if fmt not in ("json", "csv"):
+    if fmt not in _ROW_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
-    digest = file_sha256(input_path) if input_path else None
-    head = _report_head(result, input_path, digest)
     candidates = result.candidates
-    if fmt == "json":
-        if hasattr(path, "write"):
-            _stream_json_report(path, head, candidates)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                _stream_json_report(fh, head, candidates)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_ROW_FIELDS) + "\r\n")
-        for start in range(0, len(candidates), _ROW_BLOCK):
-            rows = zip(*_row_columns(candidates, start, start + _ROW_BLOCK))
-            fh.write("".join(map(_CSV_ROW.__mod__, rows)))
-    _write_json(head, str(path) + ".manifest.json")
+    n = len(candidates)
+    seam = n
+    with contextlib.ExitStack() as outputs:
+
+        def write_front():
+            digest = file_sha256(input_path) if input_path else None
+            head = _report_head(result, input_path, digest)
+            # Opened only now: the report may overwrite its own input.
+            if fmt == "json" and hasattr(path, "write"):
+                fh = path
+            else:
+                newline = "" if fmt == "csv" else None
+                fh = outputs.enter_context(open(path, "w", encoding="utf-8", newline=newline))
+            if fmt == "json":
+                # ``head`` dumps to "{...\n}"; reopen it and append the rows as its last key.
+                fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "maxima": [')
+            else:
+                fh.write(",".join(_ROW_FIELDS) + "\r\n")
+            _write_rows(fh, candidates, 0, seam, fmt, 1 if fmt == "json" else 0)
+            return head, fh
+
+        def front_then_copy(pipe):
+            head, fh = write_front()
+            return head, fh, _copy_text(pipe, fh)
+
+        front, ok = None, True  # ok: no rows are left to a child
+        if n >= _SPLIT_MIN_ROWS and _can_fork():
+            hashed = os.path.getsize(input_path) // _HASHED_BYTES_PER_ROW if input_path else 0
+            seam = max(1, (n - hashed) // 2)
+            front, ok = _beside_child(
+                lambda: [text.encode("ascii") for text in _row_blocks(candidates, seam, n, fmt)],
+                front_then_copy,
+            )
+        head, fh, copied = front or (*write_front(), 0)
+        if not ok:
+            _write_rows(fh, candidates, seam, n, fmt, copied)
+        if fmt == "json":
+            fh.write("\n  ]\n}\n" if n else "]\n}\n")
+    if fmt == "csv":
+        _write_json(head, str(path) + ".manifest.json")
 
 
 # ---------------------------------------------------------------------------

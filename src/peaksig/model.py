@@ -54,7 +54,7 @@ class SignalSpec:
     ``peak_truncation`` the half-support in units of b.
     """
 
-    peaks: tuple = field(default_factory=tuple)
+    peaks: tuple[tuple[float, float], ...] = field(default_factory=tuple)
     peak_scale: float = 3.0
     peak_truncation: float = DEFAULT_PEAK_TRUNCATION
 

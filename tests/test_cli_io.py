@@ -1,5 +1,6 @@
 """Tests for file formats, report writing, and the command line."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -36,6 +38,7 @@ from peaksig import cli
 from peaksig import io as peaksig_io
 from peaksig.cli import main
 from peaksig.io import _read_csv_rows, _read_plain_lines
+from peaksig.maxima import Candidates
 
 KNOWN = DetectorConfig(gamma=3.0, method="bh", moments_source=NoiseSpec())
 
@@ -548,6 +551,255 @@ class TestSplitParse:
         assert len(split_small) == 1
 
 
+def made_up_result(n, seed=5):
+    """``small_result`` with ``n`` made-up rows, some of them non-finite."""
+    result, _ = small_result()
+    rng = np.random.default_rng(seed)
+    times, height, p_value = rng.normal(size=(3, n)) * [[1e3], [1.0], [1e-3]]
+    times[3::29], height[5::31], p_value[7::37] = -np.inf, np.nan, np.inf
+    rows = Candidates(3 * np.arange(n), times, height, p_value, rng.random(n) < 0.3)
+    return dataclasses.replace(result, candidates=rows)
+
+
+_CREATED = re.compile(rb'"created_utc": "[^"]*"')
+
+# Where a report goes: a JSON file, stdout (a stream), or a CSV file and
+# its manifest.
+REPORT_TARGETS = ("json file", "json stdout", "csv file")
+
+
+def report_bytes(result, target, directory, input_path=None) -> bytes:
+    """The report's bytes, manifest included, with ``created_utc`` masked."""
+    if target == "json stdout":
+        out = io.BytesIO()
+        stream = io.TextIOWrapper(out, encoding="utf-8")
+        write_detection_report(result, stream, input_path=input_path)
+        stream.flush()
+        return _CREATED.sub(b"", out.getvalue())
+    fmt = target.split()[0]
+    path = directory / f"report.{fmt}"
+    write_detection_report(result, path, fmt=fmt, input_path=input_path)
+    data = path.read_bytes()
+    if fmt == "csv":
+        data += b"\0" + (directory / "report.csv.manifest.json").read_bytes()
+    return _CREATED.sub(b"", data)
+
+
+def serial_bytes(result, target, directory, input_path=None) -> bytes:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(peaksig_io, "_SPLIT_MIN_ROWS", 1 << 62)
+        return report_bytes(result, target, directory, input_path)
+
+
+@pytest.fixture
+def split_reports(monkeypatch):
+    """Split even tiny reports, in blocks of 8 rows, copied in chunks of 100
+    bytes, so seams and chunk ends fall inside blocks and rows; count forks
+    and record the rows this process formats."""
+    monkeypatch.setattr(peaksig_io, "_SPLIT_MIN_ROWS", 0)
+    monkeypatch.setattr(peaksig_io, "_ROW_BLOCK", 8)
+    monkeypatch.setattr(peaksig_io, "_COPY_CHUNK", 100)
+    forks, spans = [], []
+    real_fork, write_rows = os.fork, peaksig_io._write_rows
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    def recorded_rows(fh, candidates, start, stop, fmt, skip):
+        spans.append((start, stop))
+        write_rows(fh, candidates, start, stop, fmt, skip)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(peaksig_io, "_write_rows", recorded_rows)
+    return forks, spans
+
+
+def child_parts(edit):
+    """Wrap ``_beside_child`` so that the child sends ``edit(parts)``."""
+    beside_child = peaksig_io._beside_child
+
+    def edited(child, parent):
+        return beside_child(lambda: edit(child()), parent)
+
+    return edited
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestSplitReport:
+    """A report of at least ``_SPLIT_MIN_ROWS`` rows is formatted on two
+    cores, the rows from its seam on in a forked child; its bytes must
+    equal the serial writer's."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self):
+        if not peaksig_io._can_fork():
+            pytest.skip("the split needs two usable CPUs")
+
+    @pytest.mark.parametrize("target", REPORT_TARGETS)
+    @pytest.mark.parametrize(
+        "n, least, seam",
+        [(40, 41, None), (40, 40, 20), (64, 64, 32), (0, 0, 1), (1, 0, 1)],
+        ids=["below threshold", "at threshold", "seam on a block end", "no rows", "one row"],
+    )
+    def test_split_matches_serial(self, tmp_path, split_reports, monkeypatch, target, n, least, seam):
+        forks, spans = split_reports
+        monkeypatch.setattr(peaksig_io, "_SPLIT_MIN_ROWS", least)
+        result = made_up_result(n)
+        want = serial_bytes(result, target, tmp_path)
+        spans.clear()
+        assert report_bytes(result, target, tmp_path) == want
+        assert len(forks) == (seam is not None)
+        # Rows the child delivered are not formatted here again.
+        assert spans == [(0, n if seam is None else seam)]
+        if seam == 32:
+            assert seam % peaksig_io._ROW_BLOCK == 0
+        assert_no_child()
+
+    @pytest.mark.parametrize("target", REPORT_TARGETS)
+    def test_hashing_side_formats_fewer_rows(self, tmp_path, split_reports, monkeypatch, target):
+        # 90 rows, and an input worth 20 rows of hashing: 35 rows here, 55 in the child.
+        forks, spans = split_reports
+        src = tmp_path / "input.txt"
+        src.write_bytes(b"0.5\n" * 500)
+        monkeypatch.setattr(peaksig_io, "_HASHED_BYTES_PER_ROW", 100)
+        result = made_up_result(90)
+        want = serial_bytes(result, target, tmp_path, str(src))
+        spans.clear()
+        assert report_bytes(result, target, tmp_path, str(src)) == want
+        assert spans == [(0, 35)] and len(forks) == 1
+        assert file_sha256(src).encode() in want
+
+    def test_report_may_overwrite_its_input(self, tmp_path, split_reports):
+        # The input is hashed before the output is opened, as when serial.
+        result = made_up_result(50)
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"0.5\n" * 10)
+        digest = file_sha256(path)
+        write_detection_report(result, path, fmt="csv", input_path=str(path))
+        manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
+        assert manifest["input"]["sha256"] == digest
+        assert len(split_reports[0]) == 1
+
+    @pytest.mark.parametrize("target", REPORT_TARGETS)
+    def test_failed_fork_formats_serially(self, tmp_path, split_reports, monkeypatch, target):
+        result = made_up_result(70)
+        want = serial_bytes(result, target, tmp_path)
+
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert report_bytes(result, target, tmp_path) == want
+
+    @pytest.mark.parametrize("target", REPORT_TARGETS)
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda parts: None,  # the child fails before it sends anything
+            lambda parts: parts[:2] + [object()],  # after two blocks
+            lambda parts: [parts[0][:5], object()],  # inside a row
+        ],
+        ids=["nothing sent", "two blocks sent", "five bytes sent"],
+    )
+    def test_child_failure_is_formatted_here(self, tmp_path, split_reports, monkeypatch, target, edit):
+        # A part that is not a buffer makes the child's write raise, so it
+        # exits non-zero after sending the parts before it.
+        forks, spans = split_reports
+        result = made_up_result(70)
+        want = serial_bytes(result, target, tmp_path)
+        spans.clear()
+        monkeypatch.setattr(peaksig_io, "_beside_child", child_parts(edit))
+        assert report_bytes(result, target, tmp_path) == want
+        assert len(forks) == 1 and spans == [(0, 35), (35, 70)]
+        assert_no_child()
+
+    def test_child_reaped_on_keyboard_interrupt(self, tmp_path, split_reports, monkeypatch):
+        src = tmp_path / "input.txt"
+        src.write_bytes(b"0.5\n")
+
+        def interrupted(path):  # the parent hashes; the child formats on
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(peaksig_io, "file_sha256", interrupted)
+        # A slow child is killed, not waited for.
+        monkeypatch.setattr(
+            peaksig_io, "_beside_child", child_parts(lambda parts: time.sleep(60) or parts)
+        )
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_detection_report(made_up_result(70), tmp_path / "r.json", input_path=str(src))
+        assert time.monotonic() - start < 30
+        assert len(split_reports[0]) == 1
+        assert_no_child()
+
+    def test_child_reaped_on_broken_output(self, tmp_path, split_reports):
+        class Broken(io.StringIO):
+            def write(self, text):
+                if self.tell() > 200:
+                    raise BrokenPipeError("reader went away")
+                return super().write(text)
+
+        with pytest.raises(BrokenPipeError):
+            write_detection_report(made_up_result(70), Broken())
+        assert len(split_reports[0]) == 1
+        assert_no_child()
+
+    def test_no_split_beside_another_thread(self, tmp_path, split_reports):
+        result = made_up_result(70)
+        want = serial_bytes(result, "json file", tmp_path)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = report_bytes(result, "json file", tmp_path)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert split_reports[0] == [] and got == want
+
+    def test_no_split_with_sigchld_ignored(self, tmp_path, split_reports):
+        result = made_up_result(70)
+        want = serial_bytes(result, "json file", tmp_path)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = report_bytes(result, "json file", tmp_path)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert split_reports[0] == [] and got == want
+
+    def test_unflushed_stdout_written_once(self, split_reports, monkeypatch, capfd):
+        result = made_up_result(70)
+        out = io.TextIOWrapper(open(os.dup(1), "wb"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
+        sys.stdout.write("written before the report\n")
+        write_detection_report(result, sys.stdout)
+        out.close()
+        assert len(split_reports[0]) == 1
+        text = capfd.readouterr().out
+        assert text.count("written before the report") == 1
+        report = json.loads(text.split("\n", 1)[1])
+        assert report == json.loads(json.dumps(detection_report_dict(result)))
+
+    def test_no_warning_escapes(self, tmp_path, split_reports, monkeypatch):
+        # Python >= 3.12 warns on fork in a process with threads, such as
+        # numpy's OpenBLAS pool; the wrapper warns as it would.
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("this process is multi-threaded", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report_bytes(made_up_result(70), "json file", tmp_path)
+        assert len(split_reports[0]) == 1
+
+
 @pytest.mark.parametrize("gamma", ["1e6", "1e15", "1e308"])
 @pytest.mark.parametrize(
     "command", [["detect", "--noise-sigma", "1"], ["estimate-moments"]], ids=lambda c: c[0]
@@ -748,6 +1000,32 @@ class TestCliDetect:
         write_noise_file(src)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": 3.0, "moments_source": source}))
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["detect", str(src), "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"gamma": True}, "detector config key 'gamma' must be a number, got true"),
+            ({"gamma": "3"}, 'detector config key \'gamma\' must be a number, got "3"'),
+            ({"alpha": False}, "detector config key 'alpha' must be a number, got false"),
+            ({"kernel_truncation": "4"}, "'kernel_truncation' must be a number"),
+            ({"moments_source": {"sigma": True}}, "moments_source key 'sigma' must be a number"),
+            ({"moments_source": {"nu": "1"}}, "moments_source key 'nu' must be a number"),
+            (
+                {"moments_source": {"sigma2": 0.1, "lambda2": "0.01", "lambda4": 0.002}},
+                "moments_source key 'lambda2' must be a number",
+            ),
+        ],
+        ids=["gamma true", "gamma string", "alpha", "truncation", "sigma", "nu", "triple"],
+    )
+    def test_non_number_refused(self, tmp_path, capsys, monkeypatch, settings, message):
+        # A JSON bool or string is not a number; a JSON integer is.
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 3, "moments_source": {"sigma": 1}, **settings}))
         monkeypatch.setattr(cli, "load_series", refuse)
         assert main(["detect", str(src), "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
@@ -975,6 +1253,56 @@ class TestCliSimulate:
         monkeypatch.setattr(cli, "run_simulation", refuse)
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "layout, block, key, value, named",
+        [
+            ("design", None, "replications", True, "simulation config key 'replications'"),
+            ("explicit", None, "replications", True, "simulation config key 'replications'"),
+            ("design", None, "gammas", [True], "simulation config key 'gammas[0]'"),
+            ("explicit", None, "gammas", [3, "6"], "simulation config key 'gammas[1]'"),
+            ("explicit", None, "gammas", 3, "simulation config key 'gammas' must be a list"),
+            ("explicit", None, "alpha", "0.05", "simulation config key 'alpha'"),
+            ("design", None, "kernel_truncation", True, "simulation config key 'kernel_truncation'"),
+            ("explicit", None, "workers", True, "simulation config key 'workers'"),
+            ("design", "design", "num_peaks", True, "design key 'num_peaks'"),
+            ("design", "design", "peak_spacing", "100", "design key 'peak_spacing'"),
+            ("design", "design", "gammas", [3, False], "design key 'gammas[1]'"),
+            ("explicit", "signal", "peaks", [[10, True]], "signal key 'peaks[0][1]'"),
+            ("explicit", "noise", "sigma", True, "noise key 'sigma'"),
+            ("explicit", "grid", "length", True, "grid key 'length'"),
+        ],
+    )
+    def test_non_number_refused(self, tmp_path, capsys, monkeypatch, layout, block, key, value, named):
+        # A JSON bool or string is not a number, at any level or list depth.
+        study = {"design": {"num_peaks": 2}, "gammas": [3]} if layout == "design" else explicit_study()
+        (study if block is None else study[block])[key] = value
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_design_layout_echoes_floats(self, tmp_path, capsys):
+        # The design's float keys and the study's are read as floats, so JSON
+        # integers echo as the same study spelled with floats does.
+        def config(study):
+            cfg = tmp_path / "study.json"
+            cfg.write_text(json.dumps(study))
+            assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 0
+            out = capsys.readouterr().out
+            return out[out.index('"config"'):out.index('"cells"')]
+
+        ints = config(
+            {"design": {"num_peaks": 2, "peak_spacing": 100}, "gammas": [3],
+             "kernel_truncation": 4, "replications": 2}
+        )
+        floats = config(
+            {"design": {"num_peaks": 2, "peak_spacing": 100.0}, "gammas": [3.0],
+             "kernel_truncation": 4.0, "replications": 2}
+        )
+        assert ints == floats
+        assert '"peak_spacing": 100.0' in ints and '"kernel_truncation": 4.0' in ints
 
     @pytest.mark.parametrize("block, key", [(None, "signal"), ("grid", "length")])
     def test_missing_key_named(self, tmp_path, capsys, monkeypatch, block, key):
