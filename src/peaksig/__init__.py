@@ -12,10 +12,8 @@ data to estimate error rates and power.
 from .series import Grid, SampledSeries
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, Kernel, convolve, make_gaussian_kernel
 from .model import (
-    DEFAULT_PEAK_TRUNCATION,
     NoiseSpec,
     SignalSpec,
-    synthesize_dataset,
     synthesize_noise,
     synthesize_signal,
 )
@@ -28,7 +26,6 @@ from .nulldist import (
     gaussian_model_moments,
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
-    tail_approximation,
 )
 from .mtp import (
     MtpDecision,
@@ -54,12 +51,10 @@ from .moments_est import (
 from .detector import DetectionResult, DetectorConfig, detect
 from .evaluation import (
     DEFAULT_BANDWIDTH_GRID,
-    FINE_BANDWIDTH_GRID,
     RunCounts,
     SimCell,
     SimConfig,
     SimReport,
-    TruthRegions,
     classify,
     matched_filter_objective,
     optimal_gamma,
@@ -85,12 +80,10 @@ __all__ = [
     "SampledSeries",
     "Kernel",
     "DEFAULT_KERNEL_TRUNCATION",
-    "DEFAULT_PEAK_TRUNCATION",
     "convolve",
     "make_gaussian_kernel",
     "NoiseSpec",
     "SignalSpec",
-    "synthesize_dataset",
     "synthesize_noise",
     "synthesize_signal",
     "Candidates",
@@ -103,7 +96,6 @@ __all__ = [
     "gaussian_model_moments",
     "peak_height_right_cdf",
     "peak_height_right_cdf_inverse",
-    "tail_approximation",
     "MtpDecision",
     "asymptotic_bh_threshold",
     "bh",
@@ -125,12 +117,10 @@ __all__ = [
     "DetectorConfig",
     "detect",
     "DEFAULT_BANDWIDTH_GRID",
-    "FINE_BANDWIDTH_GRID",
     "RunCounts",
     "SimCell",
     "SimConfig",
     "SimReport",
-    "TruthRegions",
     "classify",
     "matched_filter_objective",
     "optimal_gamma",

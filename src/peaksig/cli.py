@@ -32,6 +32,7 @@ from .io import (
 )
 from .model import NoiseSpec, SignalSpec
 from .moments_est import ESTIMATORS
+from .mtp import _METHODS
 from .nulldist import (
     InvalidMomentsError,
     SpectralMoments,
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with detector settings")
     p.add_argument("--gamma", type=float, help="smoothing bandwidth")
     p.add_argument("--alpha", type=float, help="error budget (default 0.05)")
-    p.add_argument("--method", choices=("bonferroni", "bh"), help="testing procedure")
+    p.add_argument("--method", choices=tuple(_METHODS), help="testing procedure")
     p.add_argument(
         "--moments",
         dest="moments_source",
@@ -305,9 +306,13 @@ def _given(args, names) -> dict:
 
 
 def _detector_config(args) -> DetectorConfig:
+    flags = _given(args, _SOURCE_KEYS)
+    if flags and args.moments_source is not None:
+        named = [f"--noise-{k}" if k in _names(NoiseSpec) else f"--{k}" for k in sorted(flags)]
+        raise ValueError(f"--moments cannot be combined with {', '.join(named)}")
     settings = _load_json_object(args.config, "detector config") if args.config else {}
     settings.update(_given(args, _names(DetectorConfig)))
-    source = _given(args, _SOURCE_KEYS) or settings.get("moments_source")
+    source = flags or settings.get("moments_source")
     if isinstance(source, dict):
         settings["moments_source"] = _moments_source(source)
     if "gamma" not in settings:
@@ -367,6 +372,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _write_text(text: str, output) -> None:
+    """``text`` and a newline to the file ``output``, or to stdout if it is None."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 # ---------------------------------------------------------------------------
 # estimate-moments
 
@@ -388,12 +402,7 @@ def _cmd_estimate(args) -> int:
         "degenerate": estimate.degenerate,
         "diagnostics": estimate.diagnostics,
     }
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text(json.dumps(payload, indent=2), args.output)
     if estimate.degenerate:
         print("error: degenerate moment estimate", file=sys.stderr)
         return 3
@@ -448,12 +457,7 @@ def _cmd_pvalue_table(args) -> int:
         p = peak_height_right_cdf(moments, heights)
         lines = ["height,p_value"]
         lines += [f"{h!r},{v!r}" for h, v in zip(heights.tolist(), p.tolist())]
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text("\n".join(lines), args.output)
     return 0
 
 

@@ -33,7 +33,7 @@ from .nulldist import (
     gaussian_model_moments,
 )
 from .series import SampledSeries
-from .smoothing import DEFAULT_KERNEL_TRUNCATION, _half_width, convolve, make_gaussian_kernel
+from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = ["DetectorConfig", "DetectionResult", "detect", "estimate_smoothed_moments"]
 
@@ -100,7 +100,7 @@ def _smooth(series, gamma, truncation=DEFAULT_KERNEL_TRUNCATION):
     """``series`` smoothed by the Gaussian kernel of bandwidth ``gamma``,
     its ``boundary`` the kernel's half-width, and the kernel. A series too
     short for the kernel is refused before any weight is computed."""
-    if len(series) < 2 * _half_width(gamma, truncation, series.spacing) + 3:
+    if not kernel_fits(len(series), gamma, truncation, series.spacing):
         raise ValueError("series too short for the requested kernel")
     kernel = make_gaussian_kernel(gamma, truncation, series.spacing)
     values = convolve(series.values, kernel)

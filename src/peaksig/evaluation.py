@@ -42,11 +42,10 @@ from .model import (
 from .mtp import _METHODS, reject_rows
 from .nulldist import gaussian_model_moments, peak_height_right_cdf
 from .series import Grid
-from .smoothing import DEFAULT_KERNEL_TRUNCATION, _half_width, convolve, make_gaussian_kernel
+from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = [
     "DEFAULT_BANDWIDTH_GRID",
-    "FINE_BANDWIDTH_GRID",
     "TruthRegions",
     "RunCounts",
     "SimConfig",
@@ -61,10 +60,8 @@ __all__ = [
     "matched_filter_objective",
 ]
 
-# Bandwidth grids for the two stock studies: the coarse sweep used by the
-# error/power experiments, and the fine sweep for locating the power optimum.
+# Bandwidth grid of the stock error/power studies.
 DEFAULT_BANDWIDTH_GRID = tuple(1.0 + 0.5 * i for i in range(12))
-FINE_BANDWIDTH_GRID = tuple(round(1.0 + 0.1 * i, 10) for i in range(26))
 
 # Samples (replications times grid length) per block of the harness.
 _BLOCK_SAMPLES = 1 << 19
@@ -247,18 +244,18 @@ class SimConfig:
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not self.methods or any(m not in _METHODS for m in self.methods):
-            raise ValueError("methods must be drawn from 'bonferroni', 'bh'")
+            raise ValueError(f"methods must be drawn from {', '.join(map(repr, _METHODS))}")
         for name, least in (("replications", 1), ("workers", 1), ("base_seed", 0)):
             value = getattr(self, name)
             if not (value >= least and float(value).is_integer()):
                 raise ValueError(f"{name} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))
         # detect's rule for every kernel, so a huge bandwidth is refused, not allocated.
-        spacing = self.grid.spacing
-        widths = [_half_width(g, self.kernel_truncation, spacing) for g in self.gammas]
+        length, spacing = self.grid.length, self.grid.spacing
+        fits = [kernel_fits(length, g, self.kernel_truncation, spacing) for g in self.gammas]
         if self.noise.nu > 0:
-            widths.append(_half_width(self.noise.nu, NOISE_KERNEL_TRUNCATION, spacing))
-        if self.grid.length < 2 * max(widths) + 3:
+            fits.append(kernel_fits(length, self.noise.nu, NOISE_KERNEL_TRUNCATION, spacing))
+        if not all(fits):
             raise ValueError("grid too short for the requested kernel")
 
 

@@ -30,7 +30,6 @@ import signal
 import threading
 import warnings
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -440,10 +439,6 @@ _ROW_FORMATS = {
 }
 # A report of this many rows is formatted on two cores.
 _SPLIT_MIN_ROWS = 1 << 14
-# Hashing this many input bytes takes about as long as formatting one row
-# (sha256 at ~1 GB/s against ~2.8 us a row, 2-vCPU Xeon), so the process
-# that hashes formats that many fewer rows.
-_HASHED_BYTES_PER_ROW = 2048
 # The second half of a split report is copied out in chunks of this size.
 _COPY_CHUNK = 1 << 16
 
@@ -501,8 +496,8 @@ def write_detection_report(
     columns in blocks, never built as per-candidate objects.
 
     At least ``_SPLIT_MIN_ROWS`` rows are formatted on two cores: a forked
-    child formats the rows from ``seam`` on while this process hashes the
-    input and writes the head and the rows before ``seam``, and then
+    child formats the second half of the rows while this process hashes
+    the input and writes the head and the first half, and then
     copies the child's text after them. Whatever the child does not
     deliver, because the fork failed or the child did not exit cleanly,
     is formatted here, so the bytes never depend on the split.
@@ -537,8 +532,7 @@ def write_detection_report(
 
         front, ok = None, True  # ok: no rows are left to a child
         if n >= _SPLIT_MIN_ROWS and _can_fork():
-            hashed = os.path.getsize(input_path) // _HASHED_BYTES_PER_ROW if input_path else 0
-            seam = max(1, (n - hashed) // 2)
+            seam = max(1, n // 2)
             front, ok = _beside_child(
                 lambda: [text.encode("ascii") for text in _row_blocks(candidates, seam, n, fmt)],
                 front_then_copy,

@@ -32,7 +32,6 @@ __all__ = [
     "NoiseSpec",
     "synthesize_signal",
     "synthesize_noise",
-    "synthesize_dataset",
     "DEFAULT_PEAK_TRUNCATION",
     "NOISE_KERNEL_TRUNCATION",
 ]
@@ -134,12 +133,3 @@ def synthesize_noise(spec: NoiseSpec, grid: Grid, seed: int) -> SampledSeries:
     white = rng.standard_normal(grid.length + 2 * pad) * scale
     values = np.convolve(white, kernel.weights, mode="valid") * grid.spacing
     return SampledSeries(values, grid.spacing, grid.origin)
-
-
-def synthesize_dataset(
-    signal: SignalSpec, noise: NoiseSpec, grid: Grid, seed: int
-) -> SampledSeries:
-    """Signal plus noise on the :class:`Grid` ``grid``, summed elementwise."""
-    mu = synthesize_signal(signal, grid)
-    z = synthesize_noise(noise, grid, seed)
-    return SampledSeries(mu.values + z.values, grid.spacing, grid.origin)

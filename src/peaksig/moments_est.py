@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nulldist import SpectralMoments
+from .nulldist import InvalidMomentsError, SpectralMoments
 from .series import SampledSeries
 
 __all__ = [
@@ -100,46 +100,33 @@ def count_upcrossings(values: np.ndarray, level: float) -> int:
 
 def _finalize(method: str, sigma2, lambda2, lambda4, diagnostics) -> MomentEstimate:
     moments = SpectralMoments(float(sigma2), float(lambda2), float(lambda4))
-    degenerate = not (
-        np.isfinite(moments.sigma2)
-        and np.isfinite(moments.lambda2)
-        and np.isfinite(moments.lambda4)
-        and moments.sigma2 > 0
-        and moments.lambda2 > 0
-        and moments.lambda4 > 0
-        and moments.delta > 0
+    try:
+        moments.validate()
+    except InvalidMomentsError:
+        return MomentEstimate(moments, method, True, diagnostics)
+    return MomentEstimate(moments, method, False, diagnostics)
+
+
+def _difference_plan(method: str, variance, least: int, series: SampledSeries):
+    """``variance`` of the series and of its first two differences, as the
+    three moments; ``least`` is the shortest series accepted."""
+    if len(series) < least:
+        raise ValueError(f"need at least {least} samples")
+    dx = difference(series)
+    ddx = difference(dx)
+    return _finalize(
+        method, variance(series), variance(dx), variance(ddx), {"n": len(series)}
     )
-    return MomentEstimate(moments, method, degenerate, diagnostics)
 
 
 def estimate_moments_mad(series: SampledSeries) -> MomentEstimate:
     """MAD-based moments from the series and its first two differences."""
-    if len(series) < 3:
-        raise ValueError("need at least 3 samples")
-    dx = difference(series)
-    ddx = difference(dx)
-    return _finalize(
-        "mad",
-        mad_variance(series),
-        mad_variance(dx),
-        mad_variance(ddx),
-        {"n": len(series)},
-    )
+    return _difference_plan("mad", mad_variance, 3, series)
 
 
 def estimate_moments_var(series: SampledSeries) -> MomentEstimate:
     """Sample-variance moments from the series and its differences."""
-    if len(series) < 4:
-        raise ValueError("need at least 4 samples")
-    dx = difference(series)
-    ddx = difference(dx)
-    return _finalize(
-        "var",
-        np.var(series.values, ddof=1),
-        np.var(dx.values, ddof=1),
-        np.var(ddx.values, ddof=1),
-        {"n": len(series)},
-    )
+    return _difference_plan("var", lambda s: np.var(s.values, ddof=1), 4, series)
 
 
 def default_acf_lag_window(gamma: float, spacing: float) -> int:

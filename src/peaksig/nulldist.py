@@ -44,7 +44,6 @@ __all__ = [
     "gaussian_model_moments",
     "peak_height_right_cdf",
     "peak_height_right_cdf_inverse",
-    "tail_approximation",
     "expected_num_maxima",
     "assign_pvalues",
 ]
@@ -85,12 +84,6 @@ class SpectralMoments:
                 f"(got {self.delta!r}); the moments are not jointly feasible"
             )
         return self
-
-    def scaled(self, factor: float) -> "SpectralMoments":
-        """Moments of the process multiplied by ``sqrt(factor)``."""
-        return SpectralMoments(
-            self.sigma2 * factor, self.lambda2 * factor, self.lambda4 * factor
-        )
 
 
 def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
@@ -184,16 +177,6 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def tail_approximation(m: SpectralMoments, u):
-    """Leading tail term ``sqrt(2 pi lambda2^2/(lambda4 sigma2)) phi(u/sigma)``."""
-    m.validate()
-    u = np.asarray(u, dtype=float)
-    sigma, _, _, amp = _cdf_coefficients(m)
-    x = u / sigma
-    out = amp * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    return float(out) if out.ndim == 0 else out
 
 
 def expected_num_maxima(m: SpectralMoments, length: float, u: float | None = None):

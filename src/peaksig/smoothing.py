@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Kernel", "make_gaussian_kernel", "convolve", "DEFAULT_KERNEL_TRUNCATION"]
+__all__ = ["Kernel", "make_gaussian_kernel", "kernel_fits", "convolve", "DEFAULT_KERNEL_TRUNCATION"]
 
 # Half-support of the smoothing kernel in units of its bandwidth.
 DEFAULT_KERNEL_TRUNCATION = 4.0
@@ -65,6 +65,13 @@ def _half_width(gamma: float, truncation: float, spacing: float) -> int:
     # Small epsilon so an exact multiple of the spacing lands inside; the
     # cap keeps a reach that overflows to inf an integer.
     return int(np.floor(min(truncation * gamma / spacing + 1e-9, 2.0**62)))
+
+
+def kernel_fits(length: int, gamma: float, truncation: float, spacing: float) -> bool:
+    """Whether ``make_gaussian_kernel(gamma, truncation, spacing)`` fits in
+    ``length`` samples with a sample to spare at each end, decided without
+    building it."""
+    return length >= 2 * _half_width(gamma, truncation, spacing) + 3
 
 
 def make_gaussian_kernel(

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from peaksig import (
@@ -39,6 +39,8 @@ from peaksig import io as peaksig_io
 from peaksig.cli import main
 from peaksig.io import _read_csv_rows, _read_plain_lines
 from peaksig.maxima import Candidates
+from peaksig.moments_est import ESTIMATORS
+from peaksig.mtp import _METHODS
 
 KNOWN = DetectorConfig(gamma=3.0, method="bh", moments_source=NoiseSpec())
 
@@ -656,20 +658,6 @@ class TestSplitReport:
             assert seam % peaksig_io._ROW_BLOCK == 0
         assert_no_child()
 
-    @pytest.mark.parametrize("target", REPORT_TARGETS)
-    def test_hashing_side_formats_fewer_rows(self, tmp_path, split_reports, monkeypatch, target):
-        # 90 rows, and an input worth 20 rows of hashing: 35 rows here, 55 in the child.
-        forks, spans = split_reports
-        src = tmp_path / "input.txt"
-        src.write_bytes(b"0.5\n" * 500)
-        monkeypatch.setattr(peaksig_io, "_HASHED_BYTES_PER_ROW", 100)
-        result = made_up_result(90)
-        want = serial_bytes(result, target, tmp_path, str(src))
-        spans.clear()
-        assert report_bytes(result, target, tmp_path, str(src)) == want
-        assert spans == [(0, 35)] and len(forks) == 1
-        assert file_sha256(src).encode() in want
-
     def test_report_may_overwrite_its_input(self, tmp_path, split_reports):
         # The input is hashed before the output is opened, as when serial.
         result = made_up_result(50)
@@ -936,6 +924,31 @@ class TestFileSha256:
         assert file_sha256(f) == hashlib.sha256(f.read_bytes()).hexdigest()
 
 
+def json_number(lo, hi):
+    """A JSON number in ``[lo, hi]``: a float, or an integer."""
+    return st.one_of(st.floats(lo, hi), st.integers(math.ceil(lo), math.floor(hi)))
+
+
+# Accepted detect configs, one per moment source: an estimator, a noise
+# model and an explicit triple (lambda4 from sigma2 * lambda4 > lambda2^2).
+DETECT_CONFIGS = st.fixed_dictionaries(
+    {
+        "gamma": json_number(0.5, 8),
+        "moments_source": st.one_of(
+            st.sampled_from(sorted(ESTIMATORS)),
+            st.fixed_dictionaries({"sigma": json_number(0.1, 10)}, optional={"nu": json_number(0, 3)}),
+            st.builds(
+                lambda s2, l2, excess: {"sigma2": s2, "lambda2": l2, "lambda4": l2 * l2 / s2 * excess},
+                json_number(0.1, 10), json_number(0.01, 5), st.floats(1.01, 100),
+            ),
+        ),
+        "kernel_truncation": json_number(1, 6),
+        "subtract_mean": st.booleans(),
+    },
+    optional={"alpha": st.floats(0.001, 0.5), "method": st.sampled_from(sorted(_METHODS))},
+)
+
+
 class TestCliDetect:
     def test_json_to_stdout(self, tmp_path, capsys):
         src = tmp_path / "series.txt"
@@ -1062,6 +1075,57 @@ class TestCliDetect:
         second = tmp_path / "second.json"
         assert main(["detect", str(src), "--config", str(cfg), "--output", str(second)]) == 0
         assert json.dumps(json.loads(second.read_text())["config"]) == json.dumps(echo)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(config=DETECT_CONFIGS)
+    def test_report_config_round_trips(self, tmp_path, config):
+        src = tmp_path / "series.txt"
+        if not src.exists():
+            write_noise_file(src, n=200)
+        cfg, first, second = (tmp_path / name for name in ("cfg.json", "first.json", "second.json"))
+        cfg.write_text(json.dumps(config))
+        assume(main(["detect", str(src), "--config", str(cfg), "--output", str(first)]) == 0)
+        cfg.write_text(json.dumps(json.loads(first.read_text())["config"]))
+        assert main(["detect", str(src), "--config", str(cfg), "--output", str(second)]) == 0
+        assert _CREATED.sub(b"", second.read_bytes()) == _CREATED.sub(b"", first.read_bytes())
+
+    @pytest.mark.parametrize(
+        "source, named",
+        [
+            (["--noise-sigma", "1"], "--noise-sigma"),
+            (["--noise-sigma", "1", "--noise-nu", "0.5"], "--noise-nu, --noise-sigma"),
+            (["--sigma2", "0.094", "--lambda2", "0.0052", "--lambda4", "0.00087"],
+             "--lambda2, --lambda4, --sigma2"),
+        ],
+        ids=["noise sigma", "noise model", "moments"],
+    )
+    def test_estimator_with_moment_flags_refused(self, tmp_path, capsys, monkeypatch, source, named):
+        # Moments come from one source; the estimator is not silently dropped.
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["detect", str(src), "--gamma", "3", "--moments", "var", *source]) == 1
+        assert f"--moments cannot be combined with {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "in_file, flags, used",
+        [
+            ("var", ["--noise-sigma", "2"], {"sigma": 2.0, "nu": 0.0}),
+            ({"sigma": 2}, ["--moments", "var"], "var"),
+        ],
+        ids=["noise flag", "estimator flag"],
+    )
+    def test_moment_flags_override_config(self, tmp_path, capsys, in_file, flags, used):
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 3, "moments_source": in_file}))
+        assert main(["detect", str(src), "--config", str(cfg), *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["moments_source"] == used
 
     def test_missing_gamma(self, tmp_path):
         src = tmp_path / "series.txt"

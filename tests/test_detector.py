@@ -16,8 +16,8 @@ from peaksig import (
     detect,
     find_local_maxima,
     gaussian_model_moments,
-    synthesize_dataset,
     synthesize_noise,
+    synthesize_signal,
 )
 
 
@@ -121,7 +121,13 @@ class TestInvariances:
         )
         b = detect(
             scaled,
-            DetectorConfig(gamma=3.0, method="bh", moments_source=base_m.scaled(16.0)),
+            DetectorConfig(
+                gamma=3.0,
+                method="bh",
+                moments_source=SpectralMoments(
+                    16.0 * base_m.sigma2, 16.0 * base_m.lambda2, 16.0 * base_m.lambda4
+                ),
+            ),
         )
         assert a.candidates.index.tolist() == b.candidates.index.tolist()
         assert a.decision.rejected_indices == b.decision.rejected_indices
@@ -193,7 +199,8 @@ class TestOperatingBehavior:
             (15.0, spacing_between * (j + 0.5)) for j in range(20)
         )
         signal = SignalSpec(peaks=peaks, peak_scale=3.0)
-        data = synthesize_dataset(signal, NoiseSpec(), Grid(2000), seed=6)
+        values = synthesize_signal(signal, Grid(2000)).values
+        data = SampledSeries(values + noise_series(2000, seed=6).values)
         result = detect(data, KNOWN)
         rejected_times = result.candidates.time[result.candidates.rejected]
         assert len(rejected_times) >= 19

@@ -11,7 +11,6 @@ from peaksig import evaluation
 from peaksig import (
     DEFAULT_BANDWIDTH_GRID,
     Candidates,
-    FINE_BANDWIDTH_GRID,
     DetectionResult,
     DetectorConfig,
     Grid,
@@ -368,6 +367,3 @@ class TestBandwidthSelection:
         assert DEFAULT_BANDWIDTH_GRID[0] == 1.0
         assert DEFAULT_BANDWIDTH_GRID[-1] == 6.5
         assert len(DEFAULT_BANDWIDTH_GRID) == 12
-        assert FINE_BANDWIDTH_GRID[0] == 1.0
-        assert FINE_BANDWIDTH_GRID[-1] == 3.5
-        assert len(FINE_BANDWIDTH_GRID) == 26

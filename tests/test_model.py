@@ -9,7 +9,6 @@ from peaksig import (
     Grid,
     NoiseSpec,
     SignalSpec,
-    synthesize_dataset,
     synthesize_noise,
     synthesize_signal,
 )
@@ -175,22 +174,3 @@ class TestSynthesizeNoise:
     def test_zero_mean(self):
         z = synthesize_noise(NoiseSpec(sigma=1.0, nu=1.0), Grid(200_000), seed=8)
         assert abs(z.values.mean()) < 0.02
-
-
-class TestSynthesizeDataset:
-    def test_sum_of_parts(self):
-        grid = Grid(300, spacing=1.0)
-        sig = SignalSpec(peaks=((10.0, 150.0),), peak_scale=3.0)
-        noi = NoiseSpec(sigma=1.0, nu=1.0)
-        data = synthesize_dataset(sig, noi, grid, seed=21)
-        mu = synthesize_signal(sig, grid)
-        z = synthesize_noise(noi, grid, seed=21)
-        assert np.array_equal(data.values, mu.values + z.values)
-
-    def test_deterministic(self):
-        grid = Grid(100)
-        sig = SignalSpec(peaks=((5.0, 50.0),))
-        noi = NoiseSpec()
-        a = synthesize_dataset(sig, noi, grid, seed=0)
-        b = synthesize_dataset(sig, noi, grid, seed=0)
-        assert np.array_equal(a.values, b.values)

@@ -15,7 +15,6 @@ from peaksig import (
     gaussian_model_moments,
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
-    tail_approximation,
 )
 
 # F(0) = 1/2 + 1/(2 sqrt 3) for the Gaussian-autocorrelation model,
@@ -95,10 +94,6 @@ class TestSpectralMoments:
     def test_invalid_moments_is_value_error(self):
         assert issubclass(InvalidMomentsError, ValueError)
 
-    def test_scaled(self):
-        m = SpectralMoments(1.0, 0.5, 1.0).scaled(4.0)
-        assert (m.sigma2, m.lambda2, m.lambda4) == (4.0, 2.0, 4.0)
-
 
 class TestRightCdf:
     def test_value_at_zero(self):
@@ -143,27 +138,6 @@ class TestRightCdf:
     def test_validates_moments(self):
         with pytest.raises(InvalidMomentsError):
             peak_height_right_cdf(SpectralMoments(1.0, 2.0, 1.0), 0.0)
-
-
-class TestTailApproximation:
-    def test_amplitude_at_zero(self):
-        # The tail term at u = 0 equals 1/sqrt(3) for this model.
-        m = model_moments(gamma=3.0)
-        assert tail_approximation(m, 0.0) == pytest.approx(
-            1.0 / math.sqrt(3.0), rel=1e-12
-        )
-
-    def test_relative_accuracy_in_tail(self):
-        m = model_moments(gamma=1.5)
-        sigma = math.sqrt(m.sigma2)
-        for k, tol in ((5.0, 0.02), (6.0, 0.01)):
-            exact = peak_height_right_cdf(m, k * sigma)
-            approx = tail_approximation(m, k * sigma)
-            assert approx == pytest.approx(exact, rel=tol)
-
-    def test_vanishes_at_infinity(self):
-        m = model_moments(gamma=1.0)
-        assert tail_approximation(m, 50.0) < 1e-300 or tail_approximation(m, 50.0) == 0.0
 
 
 class TestInverse:

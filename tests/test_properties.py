@@ -40,7 +40,8 @@ from peaksig import (
     make_gaussian_kernel,
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
-    synthesize_dataset,
+    synthesize_noise,
+    synthesize_signal,
     truth_regions,
 )
 from peaksig.evaluation import _endpoints, _positions, _tally
@@ -135,7 +136,8 @@ SIGNAL = SignalSpec(
 
 
 def seeded_series(seed: int) -> SampledSeries:
-    return synthesize_dataset(SIGNAL, NoiseSpec(), Grid(1200), seed=seed)
+    noise = synthesize_noise(NoiseSpec(), Grid(1200), seed=seed)
+    return SampledSeries(synthesize_signal(SIGNAL, Grid(1200)).values + noise.values)
 
 
 def per_candidate_rows(series: SampledSeries, config: DetectorConfig, result):
