@@ -7,6 +7,13 @@ simulate          Monte Carlo error/power study from a JSON config
 estimate-moments  report spectral moment estimates for a series
 pvalue-table      tabulate peak-height p-values (or inverse) for given moments
 
+A config file is read by the field types of ``DetectorConfig``,
+``SimConfig`` and, for a design, ``standard_design``: a nested spec from
+an object, a tuple from a list (a pair from two items), a float or an int
+from a number but never a boolean, a bool or a str only from its own JSON
+type. Flags a chosen mode would ignore are refused. Every command writes
+its output through :mod:`peaksig.io`.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
 malformed input data, 3 degenerate moment estimates.
 """
@@ -17,7 +24,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,11 +35,12 @@ from .evaluation import SimConfig, run_simulation, standard_design
 from .io import (
     SeriesFormatError,
     load_series,
-    sim_report_dict,
     write_detection_report,
+    write_json,
     write_sim_report,
+    write_table,
 )
-from .model import NoiseSpec, SignalSpec
+from .model import NoiseSpec
 from .moments_est import ESTIMATORS
 from .mtp import _METHODS
 from .nulldist import (
@@ -40,7 +50,6 @@ from .nulldist import (
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
 )
-from .series import Grid
 
 __all__ = ["main", "entry_point"]
 
@@ -53,12 +62,8 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
         default="plain",
         help="input layout: one value per line, or time,value rows",
     )
-    sub.add_argument(
-        "--spacing", type=float, default=1.0, help="sample spacing (plain format)"
-    )
-    sub.add_argument(
-        "--origin", type=float, default=0.0, help="time of first sample (plain format)"
-    )
+    sub.add_argument("--spacing", type=float, help="sample spacing (plain format; default 1)")
+    sub.add_argument("--origin", type=float, help="time of first sample (plain format; default 0)")
 
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:
@@ -79,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Peak detection in noisy 1-D signals via smoothing and "
         "multiple testing of local maxima.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"peaksig {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"peaksig {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("detect", help="detect peaks in a sampled series")
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heights", help="explicit heights, comma separated")
     p.add_argument("--min", dest="hmin", type=float, help="grid start")
     p.add_argument("--max", dest="hmax", type=float, help="grid end")
-    p.add_argument("--num", type=int, default=50, help="grid size (default 50)")
+    p.add_argument("--num", type=int, help="grid size (default 50)")
     p.add_argument(
         "--pvalues",
         help="tabulate the inverse instead: heights at these p-values, "
@@ -211,56 +214,59 @@ def _names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-# Config fields spelled as nested JSON objects, by their annotation.
-_NESTED = {cls.__name__: cls for cls in (SignalSpec, NoiseSpec, Grid)}
-# Numeric fields, by their annotation.
-_FLOATS = ("float", "float | None")
-_FLOAT_LISTS = ("tuple[float, ...]", "tuple[tuple[float, float], ...]")  # gammas, peaks
 # The design layout's parameters and the study fields it passes on.
-_DESIGN_KINDS = {f.name: f.type for f in fields(SimConfig)} | {
-    k: v for k, v in standard_design.__annotations__.items() if k != "return"
-}
+_DESIGN_KINDS = get_type_hints(SimConfig) | get_type_hints(standard_design)
+del _DESIGN_KINDS["return"]
 
 
-def _number(value, where: str, key: str):
-    """``value`` if it is a JSON number; a bool or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} key {key!r} must be a number, got {json.dumps(value)}")
-    return value
+def _fits(kind, value) -> bool:
+    """Whether ``value`` is a JSON value that a field of type ``kind`` is read from."""
+    if is_dataclass(kind):
+        return isinstance(value, (dict, kind))
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        if not isinstance(value, (list, tuple)):
+            return False
+        return items[-1] is Ellipsis or len(value) == len(items)
+    if kind in (float, int):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
-def _floats(value, where: str, key: str) -> tuple:
-    """A JSON list of numbers, or of lists of them, as a tuple of floats."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{where} key {key!r} must be a list, got {json.dumps(value)}")
-    return tuple(
-        _floats(v, where, f"{key}[{i}]") if isinstance(v, (list, tuple))
-        else float(_number(v, where, f"{key}[{i}]"))
-        for i, v in enumerate(value)
-    )
+def _named(kind) -> str:
+    """How an error names the JSON values a field of type ``kind`` is read from."""
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        return "a list" if items[-1] is Ellipsis else f"a list of {len(items)} items"
+    if is_dataclass(kind):
+        return "a JSON object"
+    return {bool: "a boolean", str: "a string"}.get(kind, "a number")
+
+
+def _read(kind, value, where: str, key: str):
+    """``value``, the key ``key`` of ``where``, read as the type ``kind`` by the
+    rules in the module docstring; a float field turns a JSON ``1`` into ``1.0``,
+    a built spec is taken as it is, and a union reads ``value`` as its first
+    member that fits."""
+    members = get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
+    fit = next((m for m in members if _fits(m, value)), None)
+    if fit is None and not is_dataclass(kind):  # _from_json refuses a non-object itself
+        named = " or ".join(dict.fromkeys(_named(m) for m in members if m is not NoneType))
+        raise ValueError(f"{where} key {key!r} must be {named}, got {json.dumps(value)}")
+    kind = fit or kind
+    if is_dataclass(kind):
+        return value if isinstance(value, kind) else _from_json(kind, value, key)
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        items = items[:1] * len(value) if items[-1] is Ellipsis else items
+        pairs = enumerate(zip(items, value))
+        return tuple(_read(item, v, where, f"{key}[{i}]") for i, (item, v) in pairs)
+    return float(value) if kind is float else value
 
 
 def _read_fields(kinds: dict, block: dict, where: str) -> dict:
-    """``block`` with each key read by its annotation in ``kinds``.
-
-    Numeric fields, list items included, must be JSON numbers: a bool or
-    a string is refused by name. Float fields become floats, so a JSON
-    ``1`` is echoed as ``1.0``; nested specs are read as objects. Keys
-    ``kinds`` does not know pass through for the caller to refuse.
-    """
-    read = {}
-    for key, value in block.items():
-        kind = kinds.get(key)
-        if kind in _NESTED:
-            value = _from_json(_NESTED[kind], value, key)
-        elif kind in _FLOAT_LISTS:
-            value = _floats(value, where, key)
-        elif value is not None and kind in _FLOATS:
-            value = float(_number(value, where, key))
-        elif kind == "int":
-            value = _number(value, where, key)
-        read[key] = value
-    return read
+    """``block``, each key ``kinds`` knows read by :func:`_read`; the caller refuses the rest."""
+    return {k: _read(kinds[k], v, where, k) if k in kinds else v for k, v in block.items()}
 
 
 def _from_json(cls, block, where: str):
@@ -273,7 +279,7 @@ def _from_json(cls, block, where: str):
     for f in fields(cls):
         if f.name not in block and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{where} missing key: {f.name!r}")
-    return cls(**_read_fields({f.name: f.type for f in fields(cls)}, block, where))
+    return cls(**_read_fields(get_type_hints(cls), block, where))
 
 
 _TRIPLE = _names(SpectralMoments)
@@ -289,9 +295,7 @@ def _moments_source(given: dict):
         return None
     _refuse_unknown(given, _SOURCE_KEYS, "moments_source")
     if _TRIPLE & set(given) and set(given) != _TRIPLE:
-        raise ValueError(
-            "sigma2, lambda2, lambda4 must be given together, without sigma or nu"
-        )
+        raise ValueError("sigma2, lambda2, lambda4 must be given together, without sigma or nu")
     cls = SpectralMoments if _TRIPLE & set(given) else NoiseSpec
     return _from_json(cls, given, "moments_source")
 
@@ -320,10 +324,18 @@ def _detector_config(args) -> DetectorConfig:
     return _from_json(DetectorConfig, settings, "detector config")
 
 
+def _series(args):
+    """The input series; a csv file carries its times, so --spacing and --origin are refused."""
+    grid = _given(args, ("spacing", "origin"))
+    if grid and args.format == "csv":
+        named = ", ".join(f"--{k}" for k in sorted(grid))
+        raise ValueError(f"--format csv cannot be combined with {named}")
+    return load_series(args.input, args.format, **grid)
+
+
 def _cmd_detect(args) -> int:
     config = _detector_config(args)
-    series = load_series(args.input, args.format, args.spacing, args.origin)
-    result = detect(series, config)
+    result = detect(_series(args), config)
     for message in result.warnings:
         print(f"warning: {message}", file=sys.stderr)
     write_detection_report(
@@ -363,22 +375,9 @@ def _sim_config(args) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = _sim_config(args)
-    report = run_simulation(config)
-    if args.output:
-        write_sim_report(report, args.output, fmt=args.output_format)
-    else:
-        print(json.dumps(sim_report_dict(report), indent=2))
+    report = run_simulation(_sim_config(args))
+    write_sim_report(report, args.output or sys.stdout, fmt=args.output_format)
     return 0
-
-
-def _write_text(text: str, output) -> None:
-    """``text`` and a newline to the file ``output``, or to stdout if it is None."""
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +387,10 @@ def _write_text(text: str, output) -> None:
 def _cmd_estimate(args) -> int:
     if args.estimator == "acf" and args.lag_window is None and args.gamma is None:
         raise ValueError("the acf estimator needs --lag-window or --gamma")
-    series = load_series(args.input, args.format, args.spacing, args.origin)
+    series = _series(args)
     if args.gamma is not None:
         series, _ = _smooth(series, args.gamma)
-    estimate = estimate_smoothed_moments(
-        series, args.estimator, args.gamma, args.lag_window
-    )
+    estimate = estimate_smoothed_moments(series, args.estimator, args.gamma, args.lag_window)
     payload = {
         "estimator": estimate.method,
         "gamma": args.gamma,
@@ -402,7 +399,7 @@ def _cmd_estimate(args) -> int:
         "degenerate": estimate.degenerate,
         "diagnostics": estimate.diagnostics,
     }
-    _write_text(json.dumps(payload, indent=2), args.output)
+    write_json(payload, args.output or sys.stdout)
     if estimate.degenerate:
         print("error: degenerate moment estimate", file=sys.stderr)
         return 3
@@ -425,15 +422,16 @@ def _cmd_pvalue_table(args) -> int:
             "closed-form model (--gamma with optional --sigma/--nu)"
         )
     moments.validate()
+    if args.num is not None and (args.hmin is None or args.hmax is None):
+        raise ValueError("--num needs --min and --max")
     if args.pvalues is not None:
         if args.heights is not None or args.hmin is not None or args.hmax is not None:
             raise ValueError("--pvalues cannot be combined with a height grid")
         ps = _parse_list(args.pvalues)
         if not ps:
             raise ValueError("--pvalues parsed to an empty list")
-        us = [peak_height_right_cdf_inverse(moments, p) for p in ps]
-        lines = ["p_value,height"]
-        lines += [f"{p!r},{u!r}" for p, u in zip(ps, us)]
+        header = ("p_value", "height")
+        rows = [(p, peak_height_right_cdf_inverse(moments, p)) for p in ps]
     else:
         if args.heights is not None:
             if args.hmin is not None or args.hmax is not None:
@@ -449,15 +447,15 @@ def _cmd_pvalue_table(args) -> int:
                 raise ValueError("--min and --max must be finite, and so must their span")
             if not args.hmax > args.hmin:
                 raise ValueError("--max must exceed --min")
-            if args.num < 2:
+            num = 50 if args.num is None else args.num
+            if num < 2:
                 raise ValueError("--num must be at least 2")
-            heights = np.linspace(args.hmin, args.hmax, args.num)
+            heights = np.linspace(args.hmin, args.hmax, num)
         else:
             raise ValueError("supply --heights, --min and --max, or --pvalues")
-        p = peak_height_right_cdf(moments, heights)
-        lines = ["height,p_value"]
-        lines += [f"{h!r},{v!r}" for h, v in zip(heights.tolist(), p.tolist())]
-    _write_text("\n".join(lines), args.output)
+        header = ("height", "p_value")
+        rows = zip(heights.tolist(), peak_height_right_cdf(moments, heights).tolist())
+    write_table(header, rows, args.output or sys.stdout)
     return 0
 
 
@@ -480,15 +478,12 @@ def main(argv=None) -> int:
     except InvalidMomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SeriesFormatError as exc:
+    except (SeriesFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry_point() -> None:

@@ -1,4 +1,4 @@
-"""Reading sampled series and writing detection/simulation reports.
+"""Reading sampled series and writing every command's output.
 
 Two input formats: ``plain`` (one value per line, spacing supplied out
 of band) and ``csv`` (``time,value`` rows, no header; the time column
@@ -10,8 +10,10 @@ parsed as two halves on two cores, the second in a forked child, with
 the same result as one pass. Reports go out as JSON
 (self-contained) or CSV (tabular rows plus a ``.manifest.json`` sidecar
 carrying the provenance block: tool, version, UTC timestamp, input
-digest, configuration echo). A report of ``_SPLIT_MIN_ROWS`` rows or
+digest, configuration echo), JSON to a path or an open text stream
+such as stdout, CSV to a path. A report of ``_SPLIT_MIN_ROWS`` rows or
 more is formatted on two cores the same way, with the same bytes.
+:func:`write_json` and :func:`write_table` write the other commands' output.
 
 JSON uses the stdlib encoder, so infinite thresholds round-trip as
 ``Infinity``.
@@ -46,6 +48,8 @@ __all__ = [
     "write_detection_report",
     "sim_report_dict",
     "write_sim_report",
+    "write_json",
+    "write_table",
 ]
 
 _TOOL = "peaksig"
@@ -408,18 +412,26 @@ def detection_report_dict(
     return report
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _text_output(path, newline=None):
+    """``path`` if it is an open text stream, else the file opened for writing, as a context."""
+    if hasattr(path, "write"):
+        return contextlib.nullcontext(path)
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
+def write_json(payload: dict, path) -> None:
+    """``payload`` as indented JSON and a newline, to ``path`` or an open text stream."""
+    with _text_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def _write_rows_csv(path, header: list, rows: list, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+def write_table(header, rows, path, lineterminator: str = "\n") -> None:
+    """``header`` and ``rows`` as comma-separated lines, to ``path`` or an open text stream."""
+    with _text_output(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows(rows)
-    _write_json(manifest, str(path) + ".manifest.json")
 
 
 # Report rows are formatted straight from the candidate columns, one block
@@ -504,6 +516,8 @@ def write_detection_report(
     """
     if fmt not in _ROW_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
+    # A CSV report's manifest goes beside it, so a stream is refused at once.
+    manifest_path = os.fspath(path) + ".manifest.json" if fmt == "csv" else None
     candidates = result.candidates
     n = len(candidates)
     seam = n
@@ -513,11 +527,7 @@ def write_detection_report(
             digest = file_sha256(input_path) if input_path else None
             head = _report_head(result, input_path, digest)
             # Opened only now: the report may overwrite its own input.
-            if fmt == "json" and hasattr(path, "write"):
-                fh = path
-            else:
-                newline = "" if fmt == "csv" else None
-                fh = outputs.enter_context(open(path, "w", encoding="utf-8", newline=newline))
+            fh = outputs.enter_context(_text_output(path, "" if fmt == "csv" else None))
             if fmt == "json":
                 # ``head`` dumps to "{...\n}"; reopen it and append the rows as its last key.
                 fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "maxima": [')
@@ -543,7 +553,7 @@ def write_detection_report(
         if fmt == "json":
             fh.write("\n  ]\n}\n" if n else "]\n}\n")
     if fmt == "csv":
-        _write_json(head, str(path) + ".manifest.json")
+        write_json(head, manifest_path)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +573,15 @@ def sim_report_dict(report: SimReport) -> dict:
 
 def write_sim_report(report: SimReport, path, fmt: str = "json") -> None:
     """Write a simulation report as ``json`` or ``csv`` (one row per
-    (gamma, method) cell, manifest sidecar)."""
+    (gamma, method) cell, manifest sidecar). ``path`` may also be an open
+    text stream such as ``sys.stdout`` for JSON."""
     payload = sim_report_dict(report)
     if fmt == "json":
-        _write_json(payload, path)
+        write_json(payload, path)
         return
     if fmt == "csv":
         manifest = {k: v for k, v in payload.items() if k != "cells"}
-        rows = [[cell[name] for name in _SIM_FIELDS] for cell in payload["cells"]]
-        _write_rows_csv(path, list(_SIM_FIELDS), rows, manifest)
+        write_json(manifest, os.fspath(path) + ".manifest.json")  # first: a stream is refused
+        write_table(_SIM_FIELDS, map(dict.values, payload["cells"]), path, "\r\n")
         return
     raise ValueError(f"unknown report format {fmt!r}")

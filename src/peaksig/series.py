@@ -72,13 +72,6 @@ class SampledSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.values.size, self.spacing, self.origin)
-
-    def times(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.values.size)
-
     def crop(self, start: int, stop: int) -> "SampledSeries":
         """Slice by sample index, shifting the origin accordingly."""
         if not (0 <= start < stop <= self.values.size):

@@ -904,6 +904,20 @@ class TestSimReports:
             assert row["power"] == cell.power
             assert row["fwer"] == cell.fwer
 
+    def test_json_to_stream_equals_file(self, tmp_path):
+        report = run_simulation(self.CONFIG)
+        out, stream = tmp_path / "sim.json", io.StringIO()
+        write_sim_report(report, out)
+        write_sim_report(report, stream)
+        assert _CREATED.sub(b"", stream.getvalue().encode()) == _CREATED.sub(b"", out.read_bytes())
+
+    def test_csv_to_stream_refused(self):
+        # The manifest goes beside the file, and a stream has no path.
+        stream = io.StringIO()
+        with pytest.raises(TypeError):
+            write_sim_report(run_simulation(self.CONFIG), stream, fmt="csv")
+        assert stream.getvalue() == ""
+
     def test_csv_rows_per_cell(self, tmp_path):
         report = run_simulation(self.CONFIG)
         out = tmp_path / "sim.csv"
@@ -947,6 +961,35 @@ DETECT_CONFIGS = st.fixed_dictionaries(
     },
     optional={"alpha": st.floats(0.001, 0.5), "method": st.sampled_from(sorted(_METHODS))},
 )
+
+
+# Accepted studies, with JSON integers in float fields: the fields both
+# layouts share, then a stock design or an explicit layout of one or two
+# peaks, on a grid short enough for a few replications to take milliseconds.
+SIM_FIELDS = st.fixed_dictionaries(
+    {"gammas": st.lists(json_number(1, 4), min_size=1, max_size=2), "replications": st.integers(2, 5)},
+    optional={
+        "alpha": st.floats(0.01, 0.2),
+        "methods": st.sampled_from([["bh"], ["bonferroni"], ["bonferroni", "bh"]]),
+        "kernel_truncation": json_number(3, 5),
+    },
+)
+SIM_DESIGNS = st.fixed_dictionaries(
+    {"num_peaks": st.integers(1, 3)},
+    optional={"amplitude": json_number(2, 12), "nu": json_number(0, 1), "peak_spacing": json_number(40, 120)},
+).map(lambda design: {"design": design})
+SIM_LAYOUTS = st.fixed_dictionaries(
+    {
+        "signal": st.fixed_dictionaries(
+            {"peaks": st.lists(st.tuples(json_number(1, 12), json_number(40, 200)), min_size=1, max_size=2)},
+            optional={"peak_scale": json_number(1, 4)},
+        ),
+        "noise": st.fixed_dictionaries({}, optional={"sigma": json_number(0.5, 2), "nu": json_number(0, 1)}),
+        "grid": st.fixed_dictionaries({"length": st.integers(240, 320)}, optional={"origin": json_number(-5, 5)}),
+    },
+    optional={"peak_spacing": st.one_of(st.none(), json_number(40, 120))},
+)
+SIM_STUDIES = st.builds(lambda fields, layout: {**fields, **layout}, SIM_FIELDS, st.one_of(SIM_DESIGNS, SIM_LAYOUTS))
 
 
 class TestCliDetect:
@@ -1035,6 +1078,26 @@ class TestCliDetect:
     )
     def test_non_number_refused(self, tmp_path, capsys, monkeypatch, settings, message):
         # A JSON bool or string is not a number; a JSON integer is.
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 3, "moments_source": {"sigma": 1}, **settings}))
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["detect", str(src), "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"subtract_mean": "false"}, "detector config key 'subtract_mean' must be a boolean, got \"false\""),
+            ({"subtract_mean": 0}, "detector config key 'subtract_mean' must be a boolean, got 0"),
+            ({"method": ["bh"]}, "detector config key 'method' must be a string, got [\"bh\"]"),
+            ({"moments_source": 3}, "key 'moments_source' must be a JSON object or a string, got 3"),
+        ],
+        ids=["subtract_mean string", "subtract_mean integer", "method list", "moments_source number"],
+    )
+    def test_wrong_json_type_refused(self, tmp_path, capsys, monkeypatch, settings, message):
+        # A boolean or a string field is read only from its own JSON type.
         src = tmp_path / "series.txt"
         write_noise_file(src)
         cfg = tmp_path / "cfg.json"
@@ -1181,6 +1244,20 @@ class TestCliDetect:
         src = tmp_path / "series.txt"
         write_noise_file(src)
         assert main(["detect", str(src), "--gamma", "3", "--sigma2", "0.1"]) == 1
+
+    @pytest.mark.parametrize("command", ["detect", "estimate-moments"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--spacing", "7"], "--spacing"), (["--spacing", "7", "--origin", "100"], "--origin, --spacing")],
+        ids=["spacing", "spacing and origin"],
+    )
+    def test_grid_flags_refused_with_csv(self, tmp_path, capsys, command, flags, named):
+        # A csv file carries its own times; the flags are not silently dropped.
+        src = tmp_path / "series.csv"
+        src.write_text("".join(f"{i},0.5\n" for i in range(50)))
+        moments = ["--noise-sigma", "1"] if command == "detect" else []
+        assert main([command, str(src), "--format", "csv", "--gamma", "3", *moments, *flags]) == 1
+        assert f"--format csv cannot be combined with {named}" in capsys.readouterr().err
 
     def test_csv_output_writes_manifest(self, tmp_path):
         src = tmp_path / "series.txt"
@@ -1347,6 +1424,29 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "layout, block, key, value, message",
+        [
+            ("design", None, "methods", "bh", "simulation config key 'methods' must be a list, got \"bh\""),
+            ("explicit", None, "methods", [1], "simulation config key 'methods[0]' must be a string, got 1"),
+            (
+                "explicit", "signal", "peaks", [[1, 2, 3]],
+                "signal key 'peaks[0]' must be a list of 2 items, got [1, 2, 3]",
+            ),
+        ],
+        ids=["methods string", "methods item", "peaks triple"],
+    )
+    def test_wrong_json_type_refused(
+        self, tmp_path, capsys, monkeypatch, layout, block, key, value, message
+    ):
+        study = {"design": {"num_peaks": 2}, "gammas": [3]} if layout == "design" else explicit_study()
+        (study if block is None else study[block])[key] = value
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert message in capsys.readouterr().err
+
     def test_design_layout_echoes_floats(self, tmp_path, capsys):
         # The design's float keys and the study's are read as floats, so JSON
         # integers echo as the same study spelled with floats does.
@@ -1422,6 +1522,23 @@ class TestCliSimulate:
         second = tmp_path / "second.json"
         assert main([*argv, "--output", str(second)]) == 0
         assert json.loads(second.read_text())["cells"] == report["cells"]
+
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(study=SIM_STUDIES, seed=st.integers(0, 2**32))
+    def test_report_config_round_trips(self, tmp_path, monkeypatch, study, seed):
+        monkeypatch.delenv("PEAKSIG_WORKERS", raising=False)
+        cfg, first, second = (tmp_path / name for name in ("cfg.json", "first.json", "second.json"))
+        argv = ["simulate", "--config", str(cfg), "--seed", str(seed)]
+        cfg.write_text(json.dumps(study))
+        assume(main([*argv, "--output", str(first)]) == 0)
+        cfg.write_text(json.dumps(json.loads(first.read_text())["config"]))
+        assert main([*argv, "--output", str(second)]) == 0
+        assert _CREATED.sub(b"", second.read_bytes()) == _CREATED.sub(b"", first.read_bytes())
 
 
 class TestCliEstimateMoments:
@@ -1532,6 +1649,14 @@ class TestCliPvalueTable:
     def test_heights_conflicts_with_grid(self, capsys, grid):
         assert main(["pvalue-table", "--gamma", "3", "--heights", "1.0", *grid]) == 1
         assert "--heights cannot be combined with --min/--max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", [["--pvalues", "0.05"], ["--heights", "1.0"], ["--min", "0"], ["--max", "1"]]
+    )
+    def test_num_needs_min_and_max(self, capsys, grid):
+        # --num sizes the --min/--max grid; anywhere else it would be ignored.
+        assert main(["pvalue-table", "--gamma", "3", "--num", "7", *grid]) == 1
+        assert "--num needs --min and --max" in capsys.readouterr().err
 
     def test_explicit_moment_triple(self, capsys):
         code = main(

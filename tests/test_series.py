@@ -25,8 +25,9 @@ class TestSampledSeries:
     def test_basic_fields(self):
         s = SampledSeries(np.arange(4.0), spacing=0.5, origin=1.0)
         assert len(s) == 4
-        np.testing.assert_allclose(s.times(), [1.0, 1.5, 2.0, 2.5])
-        assert s.grid == Grid(4, 0.5, 1.0)
+        grid = Grid(len(s), s.spacing, s.origin)
+        np.testing.assert_allclose(grid.times(), [1.0, 1.5, 2.0, 2.5])
+        assert grid == Grid(4, 0.5, 1.0)
 
     def test_values_copied_and_float(self):
         raw = np.array([1, 2, 3])
