@@ -30,7 +30,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .detector import DetectorConfig, _smooth, detect, estimate_smoothed_moments
+from .detector import DetectorConfig, _resolve_moments, _smooth, detect, estimate_smoothed_moments
 from .evaluation import SimConfig, run_simulation, standard_design
 from .io import (
     SeriesFormatError,
@@ -46,7 +46,6 @@ from .mtp import _METHODS
 from .nulldist import (
     InvalidMomentsError,
     SpectralMoments,
-    gaussian_model_moments,
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
 )
@@ -309,11 +308,17 @@ def _given(args, names) -> dict:
 # detect
 
 
+def _refuse_with(mode: str, flags) -> None:
+    """Refuse the given ``flags``, spelled as typed, beside ``mode``, which ignores them."""
+    if flags:
+        raise ValueError(f"{mode} cannot be combined with {', '.join(flags)}")
+
+
 def _detector_config(args) -> DetectorConfig:
     flags = _given(args, _SOURCE_KEYS)
-    if flags and args.moments_source is not None:
+    if args.moments_source is not None:
         named = [f"--noise-{k}" if k in _names(NoiseSpec) else f"--{k}" for k in sorted(flags)]
-        raise ValueError(f"--moments cannot be combined with {', '.join(named)}")
+        _refuse_with("--moments", named)
     settings = _load_json_object(args.config, "detector config") if args.config else {}
     settings.update(_given(args, _names(DetectorConfig)))
     source = flags or settings.get("moments_source")
@@ -327,9 +332,8 @@ def _detector_config(args) -> DetectorConfig:
 def _series(args):
     """The input series; a csv file carries its times, so --spacing and --origin are refused."""
     grid = _given(args, ("spacing", "origin"))
-    if grid and args.format == "csv":
-        named = ", ".join(f"--{k}" for k in sorted(grid))
-        raise ValueError(f"--format csv cannot be combined with {named}")
+    if args.format == "csv":
+        _refuse_with("--format csv", [f"--{k}" for k in sorted(grid)])
     return load_series(args.input, args.format, **grid)
 
 
@@ -385,6 +389,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.lag_window is not None and args.estimator != "acf":
+        raise ValueError("--lag-window needs --estimator acf")
     if args.estimator == "acf" and args.lag_window is None and args.gamma is None:
         raise ValueError("the acf estimator needs --lag-window or --gamma")
     series = _series(args)
@@ -413,14 +419,13 @@ def _cmd_estimate(args) -> int:
 def _cmd_pvalue_table(args) -> int:
     source = _moments_source(_given(args, _SOURCE_KEYS))
     if isinstance(source, SpectralMoments):
-        moments = source
-    elif args.gamma is not None:
-        moments = gaussian_model_moments(source or NoiseSpec(), args.gamma)
-    else:
+        _refuse_with("--sigma2/--lambda2/--lambda4", [f"--{k}" for k in _given(args, ("gamma",))])
+    elif args.gamma is None:
         raise ValueError(
             "supply moments directly (--sigma2/--lambda2/--lambda4) or via the "
             "closed-form model (--gamma with optional --sigma/--nu)"
         )
+    moments = _resolve_moments(source or NoiseSpec(), args.gamma)
     moments.validate()
     if args.num is not None and (args.hmin is None or args.hmax is None):
         raise ValueError("--num needs --min and --max")

@@ -61,8 +61,7 @@ class DetectorConfig:
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be positive")
-        if not (np.isfinite(self.alpha) and 0 < self.alpha < 1):
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        mtp._check_alpha(self.alpha)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         src = self.moments_source
@@ -132,20 +131,17 @@ def estimate_smoothed_moments(
     return estimate_moments_acf(interior, lag_window)
 
 
-def _resolve_moments(
-    config: DetectorConfig, smoothed: SampledSeries
-) -> SpectralMoments:
-    src = config.moments_source
-    if isinstance(src, SpectralMoments):
-        return src
-    if isinstance(src, NoiseSpec):
-        return gaussian_model_moments(src, config.gamma)
-    estimate = estimate_smoothed_moments(smoothed, src, config.gamma)
-    if estimate.degenerate:
-        raise InvalidMomentsError(
-            f"moment estimation ({src}) degenerate: {estimate.diagnostics}"
-        )
-    return estimate.moments
+def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:
+    """The null moments a ``moments_source`` gives at bandwidth ``gamma``; an
+    estimator name reads them off ``smoothed`` (degenerate: ``InvalidMomentsError``)."""
+    if isinstance(source, SpectralMoments):
+        return source
+    if isinstance(source, NoiseSpec):
+        return gaussian_model_moments(source, gamma)
+    est = estimate_smoothed_moments(smoothed, source, gamma)
+    if est.degenerate:
+        raise InvalidMomentsError(f"moment estimation ({source}) degenerate: {est.diagnostics}")
+    return est.moments
 
 
 def detect(series: SampledSeries, config: DetectorConfig) -> DetectionResult:
@@ -160,7 +156,7 @@ def detect(series: SampledSeries, config: DetectorConfig) -> DetectionResult:
             "the sampled kernel aliases and height p-values lose accuracy",
         )
     candidates = find_local_maxima(smoothed)
-    moments = _resolve_moments(config, smoothed)
+    moments = _resolve_moments(config.moments_source, config.gamma, smoothed)
     candidates = assign_pvalues(candidates, moments)
     decision = _METHODS[config.method](
         candidates.p_value, config.alpha, moments=moments

@@ -39,9 +39,9 @@ from .maxima import local_max_indices
 from .model import (
     NOISE_KERNEL_TRUNCATION, NoiseSpec, SignalSpec, synthesize_noise, synthesize_signal
 )
-from .mtp import _METHODS, reject_rows
+from .mtp import _METHODS, _check_alpha, reject_rows
 from .nulldist import gaussian_model_moments, peak_height_right_cdf
-from .series import Grid
+from .series import Grid, _whole
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = [
@@ -241,15 +241,11 @@ class SimConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.gammas or any(g <= 0 for g in self.gammas):
             raise ValueError("gammas must be a nonempty tuple of positive floats")
-        if not (0 < self.alpha < 1):
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        _check_alpha(self.alpha)
         if not self.methods or any(m not in _METHODS for m in self.methods):
             raise ValueError(f"methods must be drawn from {', '.join(map(repr, _METHODS))}")
         for name, least in (("replications", 1), ("workers", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            if not (value >= least and float(value).is_integer()):
-                raise ValueError(f"{name} must be an integer >= {least}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         # detect's rule for every kernel, so a huge bandwidth is refused, not allocated.
         length, spacing = self.grid.length, self.grid.spacing
         fits = [kernel_fits(length, g, self.kernel_truncation, spacing) for g in self.gammas]
@@ -443,7 +439,15 @@ def standard_design(
     ``peak_spacing`` into the overlapping regime shrinks the window
     with it, preserving the null/signal balance. Other keywords go to
     :class:`SimConfig`, which refuses unknown ones and layout fields.
+    The sizes the window is computed from are checked first, by name.
     """
+    num_peaks = _whole(num_peaks, "num_peaks", 1)
+    for name, value in (("peak_spacing", peak_spacing), ("peak_scale", peak_scale),
+                        ("peak_truncation", peak_truncation), ("spacing", spacing)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite")
+    if not 0 < signal_fraction <= 1:
+        raise ValueError("signal_fraction must lie in (0, 1]")
     width = 2.0 * peak_truncation * peak_scale
     union = num_peaks * width - (num_peaks - 1) * max(0.0, width - peak_spacing)
     length = int(round(union / signal_fraction / spacing))

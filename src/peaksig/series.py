@@ -9,6 +9,13 @@ import numpy as np
 __all__ = ["Grid", "SampledSeries"]
 
 
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an int; refused unless it is a whole number >= ``least``."""
+    if not (value >= least and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform sampling grid: ``length`` samples ``spacing`` time units apart."""
@@ -18,9 +25,7 @@ class Grid:
     origin: float = 0.0
 
     def __post_init__(self):
-        if not (self.length >= 1 and float(self.length).is_integer()):
-            raise ValueError("grid length must be an integer >= 1")
-        object.__setattr__(self, "length", int(self.length))
+        object.__setattr__(self, "length", _whole(self.length, "grid length", 1))
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError("grid spacing must be positive and finite")
         if not np.isfinite(self.origin):

@@ -1500,6 +1500,50 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--seed", "-1"]) == 1
         assert "base_seed must be an integer >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("num_peaks", 2.5, "num_peaks must be an integer >= 1"),
+            ("num_peaks", 0, "num_peaks must be an integer >= 1"),
+            ("num_peaks", -1, "num_peaks must be an integer >= 1"),
+            ("signal_fraction", 0, "signal_fraction must lie in (0, 1]"),
+            ("signal_fraction", 2, "signal_fraction must lie in (0, 1]"),
+            ("signal_fraction", math.nan, "signal_fraction must lie in (0, 1]"),
+            ("spacing", 0, "spacing must be positive and finite"),
+            ("peak_spacing", -5, "peak_spacing must be positive and finite"),
+            ("peak_spacing", math.inf, "peak_spacing must be positive and finite"),
+            ("peak_scale", 0, "peak_scale must be positive and finite"),
+            ("peak_truncation", -1, "peak_truncation must be positive and finite"),
+        ],
+    )
+    def test_bad_design_refused_by_name(self, tmp_path, capsys, monkeypatch, key, value, message):
+        # Refused before the window is sized: no division by zero, no window
+        # shorter than the peak train, no grid-length text for a layout key.
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"design": {key: value}, "gammas": [3.0], "replications": 2}))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(num_peaks=st.integers(1, 5), seed=st.integers(0, 2**32))
+    def test_whole_float_num_peaks_runs_as_int(self, tmp_path, capsys, num_peaks, seed):
+        def report(count):
+            cfg = tmp_path / "study.json"
+            cfg.write_text(json.dumps(
+                {"design": {"num_peaks": count}, "gammas": [3.0], "replications": 2}
+            ))
+            assert main(["simulate", "--config", str(cfg), "--seed", str(seed)]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        as_int, as_float = report(num_peaks), report(float(num_peaks))
+        assert as_float["cells"] == as_int["cells"]
+        assert as_float["config"] == as_int["config"]
+
     def test_report_config_rebuilds_study(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PEAKSIG_WORKERS", raising=False)
         cfg = tmp_path / "study.json"
@@ -1585,6 +1629,14 @@ class TestCliEstimateMoments:
         monkeypatch.setattr(cli, "load_series", refuse)
         assert main(["estimate-moments", str(src), "--estimator", "acf"]) == 1
 
+    @pytest.mark.parametrize("estimator", [[], ["--estimator", "mad"], ["--estimator", "crossing"]])
+    def test_lag_window_needs_acf(self, tmp_path, capsys, monkeypatch, estimator):
+        # Only the acf estimator fits a lag window; the others would ignore it.
+        monkeypatch.setattr(cli, "load_series", refuse)
+        argv = ["estimate-moments", str(tmp_path / "series.txt"), *estimator, "--lag-window", "7"]
+        assert main(argv) == 1
+        assert "--lag-window needs --estimator acf" in capsys.readouterr().err
+
 
 class TestCliPvalueTable:
     def test_forward_table(self, capsys):
@@ -1665,6 +1717,27 @@ class TestCliPvalueTable:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("height,p_value")
+
+    def test_gamma_with_moment_triple_refused(self, capsys):
+        # Explicit moments are already smoothed; a bandwidth would be ignored.
+        argv = ["pvalue-table", "--sigma2", "1", "--lambda2", "1", "--lambda4", "3"]
+        assert main([*argv, "--gamma", "5", "--pvalues", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sigma2/--lambda2/--lambda4 cannot be combined with --gamma" in captured.err
+
+    @pytest.mark.parametrize("gamma, sigma, nu", [(3.0, 1.0, 0.0), (2.5, 2.0, 0.7), (6.5, 0.3, 1.5)])
+    @pytest.mark.parametrize("table", [["--pvalues", "0.05,0.001"], ["--min", "0", "--max", "4"]])
+    def test_closed_form_equals_its_triple(self, capsys, gamma, sigma, nu, table):
+        from peaksig import gaussian_model_moments
+
+        m = gaussian_model_moments(NoiseSpec(sigma, nu), gamma)
+        model = ["--gamma", repr(gamma), "--sigma", repr(sigma), "--nu", repr(nu)]
+        assert main(["pvalue-table", *model, *table]) == 0
+        by_model = capsys.readouterr().out
+        triple = ["--sigma2", repr(m.sigma2), "--lambda2", repr(m.lambda2), "--lambda4", repr(m.lambda4)]
+        assert main(["pvalue-table", *triple, *table]) == 0
+        assert capsys.readouterr().out == by_model
 
     def test_infeasible_moments_exit_3(self):
         assert (

@@ -216,6 +216,9 @@ class TestStandardDesign:
         assert config.replications == 50
         assert config.base_seed == 9
 
+    def test_whole_float_num_peaks_is_kept_as_int(self):
+        assert standard_design(num_peaks=2.0) == standard_design(num_peaks=2)
+
     def test_study_fields_are_simconfig_defaults(self):
         config = standard_design()
         defaults = {
