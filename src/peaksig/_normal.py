@@ -97,48 +97,28 @@ def _p1evl(x, coef):
     return y
 
 
-def _ndtr_scalar(a: float) -> float:
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRTH
-    z = abs(x)
-    if z < 1.0:
-        zz = x * x
-        return 0.5 + 0.5 * (x * _polevl(zz, _T) / _p1evl(zz, _U))
-    zz = z * z
-    if zz > _MAXLOG:
-        y = 0.0
-    else:
-        p, q = (_P, _Q) if z < 8.0 else (_R, _S)
-        y = 0.5 * (math.exp(-zz) * _polevl(z, p) / _p1evl(z, q))
-    return 1.0 - y if x > 0 else y
-
-
 def ndtr(a):
     """``Phi(a)``, elementwise; a float for a scalar ``a``."""
-    if np.ndim(a) == 0:
-        return _ndtr_scalar(float(a))
-    x = np.asarray(a, dtype=float) * _SQRTH
+    x = np.asarray(a, dtype=float)
+    if x.ndim == 0:
+        return float(ndtr(x.reshape(1))[0])
+    x = x * _SQRTH
     z = np.abs(x)
-    y = np.zeros_like(x)
-    mid = z < 1.0
-    xm = x[mid]
-    zz = xm * xm
-    y[mid] = 0.5 + 0.5 * (xm * _polevl(zz, _T) / _p1evl(zz, _U))
     # Past MAXLOG the tail is 0; nan comes back as scipy's positive nan.
-    tail = ~mid
-    zt = z[tail]
-    zz = zt * zt
-    live = zz <= _MAXLOG
-    zl, zz = zt[live], zz[live]
-    e = np.fromiter(map(math.exp, (-zz).tolist()), float, zz.size)
-    near = zl < 8.0
-    p = np.where(near, _polevl(zl, _P), _polevl(zl, _R))
-    q = np.where(near, _p1evl(zl, _Q), _p1evl(zl, _S))
-    yt = np.zeros_like(zt)
-    yt[live] = 0.5 * (e * p / q)
-    yt[np.isnan(zt)] = math.nan
-    y[tail] = np.where(x[tail] > 0, 1.0 - yt, yt)
+    y = np.where(np.isnan(z), math.nan, 0.0)
+    near = (1.0 <= z) & (z < 8.0)
+    far = (8.0 <= z) & (z * z <= _MAXLOG)
+    for part, p, q in ((near, _P, _Q), (far, _R, _S)):
+        if part.any():
+            zp = z[part]
+            e = np.fromiter(map(math.exp, (-(zp * zp)).tolist()), float, zp.size)
+            y[part] = 0.5 * (e * _polevl(zp, p) / _p1evl(zp, q))
+    y = np.where(x > 0, 1.0 - y, y)
+    mid = z < 1.0
+    if mid.any():
+        xm = x[mid]
+        zz = xm * xm
+        y[mid] = 0.5 + 0.5 * (xm * _polevl(zz, _T) / _p1evl(zz, _U))
     return y
 
 
@@ -152,5 +132,5 @@ def log_ndtr(a: float) -> float:
         p, q = (_P, _Q) if z < 8.0 else (_R, _S)
         return _LOG_HALF - z * z + math.log(_polevl(z, p) / _p1evl(z, q))
     if a <= 0.0:
-        return math.log(_ndtr_scalar(a))
-    return math.log1p(-_ndtr_scalar(-a))
+        return math.log(ndtr(a))
+    return math.log1p(-ndtr(-a))

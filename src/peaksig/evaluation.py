@@ -253,6 +253,10 @@ class SimConfig:
             fits.append(kernel_fits(length, self.noise.nu, NOISE_KERNEL_TRUNCATION, spacing))
         if not all(fits):
             raise ValueError("grid too short for the requested kernel")
+        num_peaks = len(self.signal.peaks)
+        dropped = num_peaks - truth_regions(self.signal, _window(self.grid)).num_peaks
+        if dropped:
+            raise ValueError(f"the grid window drops {dropped} of {num_peaks} peaks")
 
 
 @dataclass(frozen=True)
@@ -299,6 +303,11 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _window(grid: Grid) -> tuple[float, float]:
+    """Times of the first and last sample of ``grid``."""
+    return grid.origin, grid.origin + (grid.length - 1) * grid.spacing
+
+
 def _sim_context(config: SimConfig):
     grid = config.grid
     delta = grid.spacing
@@ -309,10 +318,9 @@ def _sim_context(config: SimConfig):
     margin = int(np.ceil(4.0 * (config.noise.nu + max(config.gammas)) / delta))
     margin = max(margin, max(k.half_width for k in kernels))
     padded = Grid(grid.length + 2 * margin, delta, grid.origin - margin * delta)
-    window = (grid.origin, grid.origin + (grid.length - 1) * delta)
     signal_values = synthesize_signal(config.signal, padded).values
     moments = [gaussian_model_moments(config.noise, g) for g in config.gammas]
-    regions = truth_regions(config.signal, window)
+    regions = truth_regions(config.signal, _window(grid))
     # A candidate's time is ``grid.times()[index]``, so a closed time
     # interval holds exactly the indices from the first grid time at or
     # past its start to the last at or before its end.

@@ -203,9 +203,8 @@ def asymptotic_bh_threshold(
         F(u) = alpha * A1 / (A1 + E[#null maxima per unit length] (1 - alpha)).
     """
     _check_alpha(alpha)
-    m.validate()
+    null_rate = expected_num_maxima(m, 1.0)
     if not (np.isfinite(signal_density) and signal_density > 0):
         raise ValueError("signal density must be positive")
-    null_rate = math.sqrt(m.lambda4 / m.lambda2) / (2.0 * math.pi)
     target = alpha * signal_density / (signal_density + null_rate * (1.0 - alpha))
     return peak_height_right_cdf_inverse(m, target)

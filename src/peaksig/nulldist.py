@@ -87,16 +87,25 @@ class SpectralMoments:
 
 
 def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
-    """Closed-form spectral moments of ``noise`` smoothed at bandwidth ``gamma``."""
+    """Closed-form spectral moments of ``noise`` smoothed at bandwidth ``gamma``.
+
+    Inputs whose moments (or ``Delta``) overflow or underflow are refused.
+    """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be positive")
-    xi = math.hypot(gamma, noise.nu)
-    s2 = noise.sigma**2
-    return SpectralMoments(
-        sigma2=s2 / (2.0 * _SQRT_PI * xi),
-        lambda2=s2 / (4.0 * _SQRT_PI * xi**3),
-        lambda4=3.0 * s2 / (8.0 * _SQRT_PI * xi**5),
-    )
+    try:
+        xi = math.hypot(gamma, noise.nu)
+        s2 = noise.sigma**2
+        return SpectralMoments(
+            sigma2=s2 / (2.0 * _SQRT_PI * xi),
+            lambda2=s2 / (4.0 * _SQRT_PI * xi**3),
+            lambda4=3.0 * s2 / (8.0 * _SQRT_PI * xi**5),
+        ).validate()
+    except (ArithmeticError, InvalidMomentsError):
+        raise ValueError(
+            f"sigma={noise.sigma!r}, nu={noise.nu!r} and gamma={gamma!r} put the "
+            "model moments outside the float range"
+        ) from None
 
 
 def _cdf_coefficients(m: SpectralMoments):
@@ -150,22 +159,16 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
         raise ValueError("p must lie strictly between 0 and 1")
     log_p = math.log(p)
     sigma = math.sqrt(m.sigma2)
-    if _log_right_cdf(m, 0.0) >= log_p:
-        lo, hi = 0.0, sigma
-        for _ in range(200):
-            if _log_right_cdf(m, hi) < log_p:
-                break
+    lo, hi = (0.0, sigma) if _log_right_cdf(m, 0.0) >= log_p else (-sigma, 0.0)
+    for _ in range(200):
+        if _log_right_cdf(m, hi) >= log_p:
             hi *= 2.0
-        else:  # pragma: no cover - p > 0 guarantees termination
-            raise RuntimeError("failed to bracket the root from above")
-    else:
-        lo, hi = -sigma, 0.0
-        for _ in range(200):
-            if _log_right_cdf(m, lo) >= log_p:
-                break
+        elif _log_right_cdf(m, lo) < log_p:
             lo *= 2.0
-        else:  # pragma: no cover - p < 1 guarantees termination
-            raise RuntimeError("failed to bracket the root from below")
+        else:
+            break
+    else:  # pragma: no cover - 0 < p < 1 guarantees termination
+        raise RuntimeError("failed to bracket the root")
     # Invariant: F(lo) >= p > F(hi).
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -179,19 +182,12 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def expected_num_maxima(m: SpectralMoments, length: float, u: float | None = None):
-    """Expected number of local maxima on a stretch of given length.
-
-    With ``u`` given, only maxima exceeding height ``u`` are counted
-    (the base count times ``F(u)``).
-    """
+def expected_num_maxima(m: SpectralMoments, length: float) -> float:
+    """Expected number of local maxima on a stretch of given length."""
     m.validate()
     if not (np.isfinite(length) and length > 0):
         raise ValueError("length must be positive")
-    base = length / (2.0 * math.pi) * math.sqrt(m.lambda4 / m.lambda2)
-    if u is None:
-        return base
-    return base * peak_height_right_cdf(m, u)
+    return length / (2.0 * math.pi) * math.sqrt(m.lambda4 / m.lambda2)
 
 
 def assign_pvalues(maxima: Candidates, m: SpectralMoments) -> Candidates:

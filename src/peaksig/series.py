@@ -16,6 +16,16 @@ def _whole(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _check_times(what: str, spacing, origin, length: int) -> None:
+    """Refuse a ``what`` of ``length`` samples whose times are not all finite."""
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"{what} spacing must be positive and finite")
+    if not np.isfinite(origin):
+        raise ValueError(f"{what} origin must be finite")
+    if not np.isfinite(origin + spacing * (length - 1)):
+        raise ValueError(f"{what} times overflow: origin + spacing * (length - 1) is not finite")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform sampling grid: ``length`` samples ``spacing`` time units apart."""
@@ -26,10 +36,7 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "length", _whole(self.length, "grid length", 1))
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError("grid spacing must be positive and finite")
-        if not np.isfinite(self.origin):
-            raise ValueError("grid origin must be finite")
+        _check_times("grid", self.spacing, self.origin, self.length)
 
     def times(self) -> np.ndarray:
         return self.origin + self.spacing * np.arange(self.length)
@@ -67,10 +74,7 @@ class SampledSeries:
         if not np.all(np.isfinite(values)):
             raise ValueError("series values must all be finite")
         object.__setattr__(self, "values", values)
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError("series spacing must be positive and finite")
-        if not np.isfinite(self.origin):
-            raise ValueError("series origin must be finite")
+        _check_times("series", self.spacing, self.origin, values.size)
         if self.boundary < 0:
             raise ValueError("boundary sample count must be >= 0")
 

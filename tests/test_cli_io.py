@@ -1195,6 +1195,35 @@ class TestCliDetect:
         write_noise_file(src)
         assert main(["detect", str(src)]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--gamma", "3", "--noise-sigma", "1e200"],
+                "sigma=1e+200, nu=0.0 and gamma=3.0 put the model moments outside the float range",
+            ),
+            (
+                ["--gamma", "3", "--noise-nu", "1e300"],
+                "sigma=1.0, nu=1e+300 and gamma=3.0 put the model moments outside the float range",
+            ),
+            (
+                ["--gamma", "1e-300", "--noise-sigma", "1"],
+                "sigma=1.0, nu=0.0 and gamma=1e-300 put the model moments outside the float range",
+            ),
+            # 1e308 + 399 * 1e306 is past the largest double: no time may read Infinity.
+            (
+                ["--gamma", "3", "--noise-sigma", "1", "--origin", "1e308", "--spacing", "1e306"],
+                "series times overflow: origin + spacing * (length - 1) is not finite",
+            ),
+        ],
+    )
+    def test_outside_float_range_refused(self, tmp_path, capsys, flags, message):
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        assert main(["detect", str(src), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.txt"), "--gamma", "3"]) == 2
 
@@ -1514,16 +1543,38 @@ class TestCliSimulate:
             ("peak_spacing", math.inf, "peak_spacing must be positive and finite"),
             ("peak_scale", 0, "peak_scale must be positive and finite"),
             ("peak_truncation", -1, "peak_truncation must be positive and finite"),
+            ("signal_fraction", 0.5, "the grid window drops 15 of 20 peaks"),
+            ("peak_spacing", 200.0, "the grid window drops 10 of 20 peaks"),
         ],
     )
     def test_bad_design_refused_by_name(self, tmp_path, capsys, monkeypatch, key, value, message):
-        # Refused before the window is sized: no division by zero, no window
-        # shorter than the peak train, no grid-length text for a layout key.
+        # One error line and no traceback: no division by zero, no window
+        # that drops peaks, no grid-length text for a layout key.
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps({"design": {key: value}, "gammas": [3.0], "replications": 2}))
         monkeypatch.setattr(cli, "run_simulation", refuse)
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_moments_outside_float_range_refused(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(
+            {"design": {"sigma": 1e200}, "gammas": [3.0], "replications": 4, "workers": workers}
+        ))
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: sigma=1e+200, nu=0.0 and gamma=3.0 put the model moments outside the float range\n"
+        )
+
+    def test_explicit_peak_outside_grid_refused(self, tmp_path, capsys, monkeypatch):
+        study = explicit_study()
+        study["signal"]["peaks"].append([5, 500])
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: the grid window drops 1 of 3 peaks\n"
 
     @settings(
         max_examples=10,
@@ -1738,6 +1789,21 @@ class TestCliPvalueTable:
         triple = ["--sigma2", repr(m.sigma2), "--lambda2", repr(m.lambda2), "--lambda4", repr(m.lambda4)]
         assert main(["pvalue-table", *triple, *table]) == 0
         assert capsys.readouterr().out == by_model
+
+    @pytest.mark.parametrize(
+        "model, named",
+        [
+            (["--gamma", "1e-300"], "sigma=1.0, nu=0.0 and gamma=1e-300"),
+            (["--gamma", "1e300"], "sigma=1.0, nu=0.0 and gamma=1e+300"),
+            (["--gamma", "3", "--sigma", "1e200"], "sigma=1e+200, nu=0.0 and gamma=3.0"),
+            (["--gamma", "3", "--nu", "1e300"], "sigma=1.0, nu=1e+300 and gamma=3.0"),
+        ],
+    )
+    def test_model_moments_outside_float_range_refused(self, capsys, model, named):
+        assert main(["pvalue-table", *model, "--pvalues", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {named} put the model moments outside the float range\n"
 
     def test_infeasible_moments_exit_3(self):
         assert (

@@ -251,6 +251,32 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="base_seed must be an integer >= 0"):
             standard_design(num_peaks=2, replications=4, base_seed=seed)
 
+    @pytest.mark.parametrize(
+        "layout, dropped",
+        [
+            ({"signal_fraction": 0.5}, 15),
+            ({"peak_spacing": 200.0}, 10),
+            ({"signal_fraction": 0.125}, 1),
+        ],
+    )
+    def test_window_dropping_peaks_refused(self, layout, dropped):
+        with pytest.raises(ValueError, match=f"the grid window drops {dropped} of 20 peaks"):
+            standard_design(**layout)
+
+    def test_explicit_peak_outside_grid_refused(self):
+        signal = SignalSpec(((5.0, 50.0), (5.0, 500.0)))
+        with pytest.raises(ValueError, match="the grid window drops 1 of 2 peaks"):
+            SimConfig(signal, NoiseSpec(), Grid(200), (3.0,))
+
+    @pytest.mark.parametrize(
+        "layout",
+        [{}, {"peak_spacing": 9.0}, {"nu": 1.0}, {"num_peaks": 3, "peak_spacing": 120.0}],
+    )
+    def test_designs_keeping_every_peak_accepted(self, layout):
+        config = standard_design(**layout)
+        window = (config.grid.origin, config.grid.times()[-1])
+        assert truth_regions(config.signal, window).num_peaks == len(config.signal.peaks)
+
     def test_whole_float_base_seed_is_kept_as_int(self):
         config = standard_design(num_peaks=2, replications=4, base_seed=3.0)
         assert type(config.base_seed) is int and config.base_seed == 3

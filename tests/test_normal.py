@@ -84,14 +84,18 @@ class TestNdtr:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-40.0, 40.0, allow_nan=False))
     def test_scalar_path_equals_array_path(self, value):
-        scalar = ndtr(value)
-        assert isinstance(scalar, float)
-        assert_bytes_equal(scalar, ndtr(np.array([value]))[0], np.array([value]))
+        want = ndtr(np.array([value]))[0]
+        for scalar in (value, np.array(value), np.float64(value)):
+            got = ndtr(scalar)
+            assert type(got) is float
+            assert_bytes_equal(got, want, np.array([value]))
 
     def test_scalar_path_on_branch_edges(self):
         a = np.concatenate([branch_edges(), [0.0, -0.0, math.inf, -math.inf, math.nan]])
-        scalars = np.array([ndtr(float(v)) for v in a])
-        assert_bytes_equal(scalars, ndtr(a), a)
+        for scalar in (float, np.array, np.float64):
+            got = [ndtr(scalar(v)) for v in a]
+            assert all(type(v) is float for v in got)
+            assert_bytes_equal(np.array(got), ndtr(a), a)
 
     def test_keeps_shape(self):
         a = np.linspace(-5.0, 5.0, 12).reshape(3, 4)

@@ -70,6 +70,24 @@ class TestGaussianModelMoments:
             with pytest.raises(ValueError, match="gamma must be positive"):
                 gaussian_model_moments(NoiseSpec(), gamma)
 
+    @pytest.mark.parametrize(
+        "sigma, nu, gamma",
+        [
+            (1.0, 0.0, 1e-300), (1.0, 0.0, 1e300), (1e200, 0.0, 3.0), (1.0, 1e300, 3.0),
+            (1e-200, 0.0, 3.0), (1.0, 0.0, 1e60),
+        ],
+    )
+    def test_moments_outside_float_range_refused(self, sigma, nu, gamma):
+        # Overflow, division by an underflowed power, zero moments and a
+        # Delta that underflows to 0 all name the three inputs.
+        with pytest.raises(ValueError) as info:
+            gaussian_model_moments(NoiseSpec(sigma, nu), gamma)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"sigma={sigma!r}, nu={nu!r} and gamma={gamma!r} put the model "
+            "moments outside the float range"
+        )
+
 
 class TestSpectralMoments:
     def test_validate_passes_through(self):
@@ -140,6 +158,137 @@ class TestRightCdf:
             peak_height_right_cdf(SpectralMoments(1.0, 2.0, 1.0), 0.0)
 
 
+# F^{-1}(p) at NoiseSpec(1, nu) and bandwidth gamma, pinned bit for bit
+# on both bracket branches (p below and above F(0)) and deep in the tail.
+INVERSE_PS = (
+    1e-320, 1e-300, 1e-250, 1e-200, 1e-150, 1e-100, 1e-50, 1e-30, 1e-20, 1e-15,
+    1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5,
+    0.75, 0.78, 0.8, 0.85, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-12,
+)
+INVERSE_BITS = {
+    (0.7, 0.0): (
+        "0x1.85c43229d18aep+4", "0x1.79615b1b17803p+4", "0x1.5878da84040d8p+4",
+        "0x1.341183595d237p+4", "0x1.0abdf1359cfdcp+4", "0x1.b36a0f86aa70cp+3",
+        "0x1.33841c75bb032p+3", "0x1.dba3d19d9ebb3p+2", "0x1.83944f44a5a40p+2",
+        "0x1.4efa4008deeb0p+2", "0x1.2b01d41c76030p+2", "0x1.0212275fbc2bep+2",
+        "0x1.a28cb1db33ad3p+1", "0x1.5230a4ded097cp+1", "0x1.21c6f43e80218p+1",
+        "0x1.cefc7f4286fcap+0", "0x1.6818e62654e77p+0", "0x1.31b43bf63104ep+0",
+        "0x1.af169362045cep-1", "0x1.d1bbc8238c94cp-2", "0x1.2653a498c18cbp-4",
+        "0x1.11d282b3284c2p-6", "-0x1.6f64e8dfed282p-6", "-0x1.0e648178696e3p-3",
+        "-0x1.13f81805cdaa5p-2", "-0x1.e3bf621b06718p-2", "-0x1.b3764dc6fab88p-1",
+        "-0x1.45575d6216d1ap+0", "-0x1.1685c6df049f8p+1", "-0x1.e78a17423cac5p+1",
+    ),
+    (1.5, 0.0): (
+        "0x1.0a42d9b0dbf21p+4", "0x1.01ccc1145de5ep+4", "0x1.d6a372722376ap+3",
+        "0x1.a4e6cdd035152p+3", "0x1.6c705bbfed080p+3", "0x1.2971d0d1e58c4p+3",
+        "0x1.a4259cb71b97ap+2", "0x1.44ec861549d70p+2", "0x1.08c4600c91b50p+2",
+        "0x1.c9aa9c4cdcf7bp+1", "0x1.988582f49ac8bp+1", "0x1.60978ccfb2755p+1",
+        "0x1.1dec7e4a00b31p+1", "0x1.ce0e36e9f3dd2p+0", "0x1.8be935ddcd87ep+0",
+        "0x1.3c47a550ade56p+0", "0x1.ebfc8caf813d4p-1", "0x1.a1abd5ea39f76p-1",
+        "0x1.267d426c2c921p-1", "0x1.3e2814a66739ap-2", "0x1.92207a75cce20p-5",
+        "0x1.761ccc5563138p-7", "-0x1.f5f4bceb6553cp-7", "-0x1.716d371a666e0p-4",
+        "-0x1.790bac01d5db2p-3", "-0x1.4a766778be214p-2", "-0x1.297a2debcdbfep-1",
+        "-0x1.bc8034191199ap-1", "-0x1.7c88c5dd4c39bp+0", "-0x1.4d0d8613bd3ffp+1",
+    ),
+    (3.0, 0.0): (
+        "0x1.788cd3d1ec386p+3", "0x1.6c9581403acc0p+3", "0x1.4ccaa995306bap+3",
+        "0x1.299f52fbf6f2bp+3", "0x1.01b27cd8c6c5cp+3", "0x1.a4a671fe2f936p+2",
+        "0x1.2916b788eab46p+2", "0x1.cb83065b4226cp+1", "0x1.766fed0517de9p+1",
+        "0x1.439e79f6a77d3p+1", "0x1.20de4bc6a9e67p+1", "0x1.f2a3efc8fad74p+0",
+        "0x1.945b793ba96eep+0", "0x1.46b8fc0193058p+0", "0x1.17f38ad969cd9p+0",
+        "0x1.bf498af1b237dp-1", "0x1.5be312cee62ccp-1", "0x1.275691b8db98cp-1",
+        "0x1.a07883606b492p-2", "0x1.c1f0faf53b69ap-3", "0x1.1c58bd1dace83p-5",
+        "0x1.08899854db3b3p-7", "-0x1.62efbe429b560p-7", "-0x1.05395ca033799p-4",
+        "-0x1.0a9c8afe9dd83p-3", "-0x1.d35835e6f1560p-3", "-0x1.a4b245f79ee02p-2",
+        "-0x1.3a4f3d1e7aaeep-1", "-0x1.0d140f8ba4d62p+0", "-0x1.d70200d3044e4p+0",
+    ),
+    (6.5, 0.0): (
+        "0x1.ffa17f22d24c4p+2", "0x1.ef5f42cb930cbp+2", "0x1.c42cc06bd00ccp+2",
+        "0x1.94639fb4d5ed8p+2", "0x1.5e243de41313ap+2", "0x1.1dc688885e0bcp+2",
+        "0x1.93aa02dd1330ap+1", "0x1.382d432090100p+1", "0x1.fcc28e5e26a70p+0",
+        "0x1.b7b631f42cb3ep+0", "0x1.887eaa8bc09fep+0", "0x1.52c269eb4ff42p+0",
+        "0x1.12b4ea8185a5ep+0", "0x1.bbedb809b187ep-1", "0x1.7c6103c9b4169p-1",
+        "0x1.2fdf32a33ac5cp-1", "0x1.d8af73c9057f2p-2", "0x1.9149192e147bap-2",
+        "0x1.1aefa858f4b49p-2", "0x1.31acc8e3d22afp-3", "0x1.8259db07a3039p-6",
+        "0x1.676f87344ddebp-8", "-0x1.e24383fe518a2p-8", "-0x1.62ef01927637ap-5",
+        "-0x1.6a40f1bc755bcp-4", "-0x1.3d7f848591951p-3", "-0x1.1dce91a2dc8fep-2",
+        "-0x1.ab1003463bd0ap-2", "-0x1.6d9b020a7b330p-1", "-0x1.3ffc9f507328ap+0",
+    ),
+    (30.0, 0.0): (
+        "0x1.dc4d69de36e6dp+1", "0x1.cd2a953e1ab49p+1", "0x1.a4f3abcde77e7p+1",
+        "0x1.78773fb8b8502p+1", "0x1.45f6ccbdd8a70p+1", "0x1.0a0ae356f1e99p+1",
+        "0x1.77ca73f2c2a9cp+0", "0x1.229eec164257cp+0", "0x1.d9a1389ef3e87p-1",
+        "0x1.99596cb55f49ep-1", "0x1.6d648c2f9e633p-1", "0x1.3b5e2c6b86b5ap-1",
+        "0x1.ff79de293a4fep-2", "0x1.9d4668155a24fp-2", "0x1.621d1139fa7f2p-2",
+        "0x1.1ae3a9f95a3a2p-2", "0x1.b80bceb0ed60cp-3", "0x1.759395ff98d64p-3",
+        "0x1.0766341d5eb40p-3", "0x1.1c9160c4a7feep-4", "0x1.67ac57321e009p-7",
+        "0x1.4e9dcb7b305acp-9", "-0x1.c0f68dd99203cp-9", "-0x1.4a6cdaf21c9ccp-6",
+        "-0x1.513d658fc86b8p-5", "-0x1.27931ceed4e96p-4", "-0x1.0a125e661525ep-3",
+        "-0x1.8d92d747e778cp-3", "-0x1.545c35e67f6c0p-2", "-0x1.29e439a54388cp-1",
+    ),
+    (0.7, 1.0): (
+        "0x1.2728d84accd1dp+4", "0x1.1dc7a7472650ap+4", "0x1.04dc016e0b22ep+4",
+        "0x1.d29571233ec5ep+3", "0x1.93fe3229a7ed1p+3", "0x1.49ba3bfb7f65fp+3",
+        "0x1.d1bf4841e0f9cp+2", "0x1.683072bb30b28p+2", "0x1.2580dbae1c890p+2",
+        "0x1.fb56c02883fdap+1", "0x1.c4dc2c560fafep+1", "0x1.86dc39742e246p+1",
+        "0x1.3cf4cf50feda8p+1", "0x1.001a26e76b7e6p+1", "0x1.b6e17dc3135f4p+0",
+        "0x1.5e9b65bd1b1e8p+0", "0x1.10b121c1b9790p+0", "0x1.cf00b824f632dp-1",
+        "0x1.467390df34cb2p-1", "0x1.60aff9d43ca7cp-2", "0x1.bdc5774f90e46p-5",
+        "0x1.9eb769f6fbd23p-7", "-0x1.1637b9cf83a79p-6", "-0x1.9985a2a4911c6p-4",
+        "-0x1.a1f7c876e3f54p-3", "-0x1.6e54378c7d0f6p-2", "-0x1.49c381775477dp-1",
+        "-0x1.ecbe8a18963d8p-1", "-0x1.a5d5d0e50b5dep+0", "-0x1.71334ec105759p+1",
+    ),
+    (1.5, 1.0): (
+        "0x1.e5bfedeb20e44p+3", "0x1.d6503e1afa4cep+3", "0x1.ad4d224c5027cp+3",
+        "0x1.7feed3571069fp+3", "0x1.4c6df1b4ad284p+3", "0x1.0f51c4fd8ff42p+3",
+        "0x1.7f3e9a2991d7cp+2", "0x1.28629abc4bc94p+2", "0x1.e3062a8e029b7p+1",
+        "0x1.a177f9364a3fcp+1", "0x1.74a3e612133ddp+1", "0x1.419f8382706e5p+1",
+        "0x1.04cf7e04bfdf7p+1", "0x1.a578e392d140ap+0", "0x1.69232561ba3f7p+0",
+        "0x1.208016902b9edp+0", "0x1.c0c6399fe7928p-1", "0x1.7cfc7dd678e82p-1",
+        "0x1.0c9fa9c590324p-1", "0x1.2236534fd9d92p-2", "0x1.6ecea64a9c6d4p-5",
+        "0x1.5540df80d8226p-7", "-0x1.c9de3fdcf403ap-7", "-0x1.50faa6e9d5c7ap-4",
+        "-0x1.57edcbc50dea0p-3", "-0x1.2d6ff30f9fdd3p-2", "-0x1.0f596608c6b38p-1",
+        "-0x1.957598a9ddf70p-1", "-0x1.5b1c743cbe2aep+0", "-0x1.2fccd369c8a6fp+1",
+    ),
+    (3.0, 1.0): (
+        "0x1.6ec2defd4b436p+3", "0x1.631b2ef50642ep+3", "0x1.4423eb9e58008p+3",
+        "0x1.21e2a29ac6a20p+3", "0x1.f5ff011aa816cp+2", "0x1.99b7004b255a6p+2",
+        "0x1.215d9448279cfp+2", "0x1.bf90f47403cb8p+1", "0x1.6cb407e94e088p+1",
+        "0x1.3b34c745f3612p+1", "0x1.195bdd87cc776p+1", "0x1.e5ad76ec7815cp+0",
+        "0x1.89d87585681bap+0", "0x1.3e3aa1d531e9ep+0", "0x1.10ac746c25659p+0",
+        "0x1.b3a8d3df42c60p-1", "0x1.52d7df07c8180p-1", "0x1.1fa914e912ceap-1",
+        "0x1.95a4e21e7f4acp-2", "0x1.b63e9a33821a9p-3", "0x1.14f4667619198p-5",
+        "0x1.01a9165879de6p-7", "-0x1.59b5a054da8dcp-7", "-0x1.fcddcf555f981p-5",
+        "-0x1.03ae3b875a138p-3", "-0x1.c7320367e149ap-3", "-0x1.99c2858d4996cp-2",
+        "-0x1.32237ef9191aap-1", "-0x1.0615554d8eee6p+0", "-0x1.cac36d4786413p+0",
+    ),
+    (6.5, 1.0): (
+        "0x1.fca5bf3418e1cp+2", "0x1.ec7bc824e3de9p+2", "0x1.c189c1a2dede4p+2",
+        "0x1.9207f63a9283bp+2", "0x1.5c198f266ea94p+2", "0x1.1c1bef4d97bb4p+2",
+        "0x1.914f6e76c443ep+1", "0x1.365b40a2d7632p+1", "0x1.f9cb17893bacfp+0",
+        "0x1.b525cdf3ae1d7p+0", "0x1.8634c28146ae9p+0", "0x1.50c8b8de36192p+0",
+        "0x1.111ad73aba9a5p+0", "0x1.b957088cc294cp-1", "0x1.7a2931d08cb68p-1",
+        "0x1.2e1995e1dfb12p-1", "0x1.d5edd6e2baacbp-2", "0x1.8ef211c00d492p-2",
+        "0x1.19494c2e07982p-2", "0x1.2fe47b16d6809p-3", "0x1.80191ed75d30ap-6",
+        "0x1.6556f8b96b826p-8", "-0x1.df739ab70ce02p-8", "-0x1.60dd2b8c5236dp-5",
+        "-0x1.68242e581b94bp-4", "-0x1.3ba5907d6216ap-3", "-0x1.1c23ec694b534p-2",
+        "-0x1.a89281266a8f0p-2", "-0x1.6b793dc0bf7d0p-1", "-0x1.3e1ef43a76df4p+0",
+    ),
+    (30.0, 1.0): (
+        "0x1.dc2b91105b7fbp+1", "0x1.cd09cfca70bb1p+1", "0x1.a4d5c1ed5a109p+1",
+        "0x1.785c7f2036e62p+1", "0x1.45dfa2dd4514ep+1", "0x1.09f7fb8b2c8b8p+1",
+        "0x1.77afbfa1ba2a0p+0", "0x1.228a452afaae5p+0", "0x1.d97f906fcb9f4p-1",
+        "0x1.993c55e6fcf18p-1", "0x1.6d4a950778254p-1", "0x1.3b47c34e8a120p-1",
+        "0x1.ff55857c05c5cp-2", "0x1.9d2909dc864a5p-2", "0x1.6203e74254b98p-2",
+        "0x1.1acf8fb45e587p-2", "0x1.b7ec897450530p-3", "0x1.757909f6e6f1bp-3",
+        "0x1.07537c67b7622p-3", "0x1.1c7d27f665164p-4", "0x1.6792c8168c30ep-7",
+        "0x1.4e860433d6124p-9", "-0x1.c0d6a665a7d1bp-9", "-0x1.4a555fe979bacp-6",
+        "-0x1.51256e8ec6442p-5", "-0x1.277e1be4dc9eap-4", "-0x1.09ff761239620p-3",
+        "-0x1.8d7696b24352bp-3", "-0x1.544406219e1d8p-2", "-0x1.29cf0e7582292p-1",
+    ),
+}
+
+
 class TestInverse:
     @pytest.mark.parametrize("p", [1e-6, 0.01, 0.5, 0.99])
     def test_roundtrip(self, p):
@@ -173,6 +322,12 @@ class TestInverse:
         us = [peak_height_right_cdf_inverse(m, p) for p in (0.9, 0.5, 0.1, 1e-4)]
         assert us == sorted(us)
 
+    @pytest.mark.parametrize("gamma,nu", sorted(INVERSE_BITS))
+    def test_exact_bits(self, gamma, nu):
+        m = model_moments(nu=nu, gamma=gamma)
+        got = [peak_height_right_cdf_inverse(m, p) for p in INVERSE_PS]
+        assert got == [float.fromhex(h) for h in INVERSE_BITS[gamma, nu]]
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, np.nan])
     def test_rejects_bad_p(self, p):
         with pytest.raises(ValueError):
@@ -191,12 +346,6 @@ class TestExpectedNumMaxima:
         m = model_moments(gamma=1.5)
         one = expected_num_maxima(m, 1000.0)
         assert expected_num_maxima(m, 2000.0) == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_threshold_scales_count(self):
-        m = model_moments(gamma=3.0)
-        base = expected_num_maxima(m, 2000.0)
-        at_zero = expected_num_maxima(m, 2000.0, u=0.0)
-        assert at_zero == pytest.approx(base * F_AT_ZERO, rel=1e-12)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

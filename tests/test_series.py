@@ -14,6 +14,7 @@ class TestGrid:
         [
             (0, 1.0, 0.0), (-3, 1.0, 0.0), (2.5, 1.0, 0.0), (np.inf, 1.0, 0.0),
             (np.nan, 1.0, 0.0), (5, 0.0, 0.0), (5, -1.0, 0.0), (5, 1.0, np.inf),
+            (500, 1e306, 1e308),
         ],
     )
     def test_rejects_bad_parameters(self, length, spacing, origin):
@@ -43,6 +44,8 @@ class TestSampledSeries:
             SampledSeries(np.zeros((2, 2)), 1.0)
         with pytest.raises(ValueError):
             SampledSeries(np.array([]), 1.0)
+        with pytest.raises(ValueError, match="series times overflow"):
+            SampledSeries(np.zeros(500), 1e306, 1e308)
 
     def test_crop_shifts_origin_and_clears_boundary(self):
         s = SampledSeries(np.arange(10.0), spacing=2.0, origin=5.0, boundary=3)
