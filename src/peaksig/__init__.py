@@ -41,7 +41,6 @@ from .moments_est import (
     MomentEstimate,
     count_upcrossings,
     default_acf_lag_window,
-    difference,
     estimate_moments_acf,
     estimate_moments_crossing,
     estimate_moments_mad,
@@ -107,7 +106,6 @@ __all__ = [
     "MomentEstimate",
     "count_upcrossings",
     "default_acf_lag_window",
-    "difference",
     "estimate_moments_acf",
     "estimate_moments_crossing",
     "estimate_moments_mad",

@@ -72,6 +72,8 @@ class DetectorConfig:
                 "moments_source must be a SpectralMoments, NoiseSpec, "
                 "or estimator name"
             )
+        elif isinstance(src, NoiseSpec):  # refused before any input is read
+            gaussian_model_moments(src, self.gamma)
 
 
 @dataclass(frozen=True, eq=False)

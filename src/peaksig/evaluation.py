@@ -233,7 +233,6 @@ class SimConfig:
     replications: int = 1000
     base_seed: int = 0
     kernel_truncation: float = DEFAULT_KERNEL_TRUNCATION
-    peak_spacing: float | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -253,6 +252,8 @@ class SimConfig:
             fits.append(kernel_fits(length, self.noise.nu, NOISE_KERNEL_TRUNCATION, spacing))
         if not all(fits):
             raise ValueError("grid too short for the requested kernel")
+        for g in self.gammas:  # refused here, not in each worker of the run
+            gaussian_model_moments(self.noise, g)
         num_peaks = len(self.signal.peaks)
         dropped = num_peaks - truth_regions(self.signal, _window(self.grid)).num_peaks
         if dropped:
@@ -467,7 +468,6 @@ def standard_design(
         noise=NoiseSpec(sigma, nu),
         grid=Grid(length, spacing, 0.0),
         gammas=gammas,
-        peak_spacing=peak_spacing,
         **study,
     )
 

@@ -38,7 +38,6 @@ from .series import SampledSeries
 __all__ = [
     "MAD_SCALE",
     "MomentEstimate",
-    "difference",
     "mad_variance",
     "count_upcrossings",
     "estimate_moments_mad",
@@ -69,25 +68,11 @@ class MomentEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def difference(series: SampledSeries) -> SampledSeries:
-    """Forward difference quotient ``(x[i+1] - x[i]) / spacing``.
-
-    One sample shorter than the input; times refer to interval
-    midpoints.
-    """
-    if len(series) < 2:
-        raise ValueError("need at least 2 samples to difference")
-    vals = np.diff(series.values) / series.spacing
-    return SampledSeries(
-        vals, series.spacing, series.origin + 0.5 * series.spacing
-    )
-
-
-def mad_variance(series: SampledSeries) -> float:
-    """Squared scaled median absolute deviation of the sample values."""
-    v = series.values
+def mad_variance(values: np.ndarray) -> float:
+    """Squared scaled median absolute deviation of ``values``."""
+    v = np.asarray(values, dtype=float)
     if v.size == 0:
-        raise ValueError("series is empty")
+        raise ValueError("values are empty")
     mad = np.median(np.abs(v - np.median(v)))
     return float((MAD_SCALE * mad) ** 2)
 
@@ -108,15 +93,14 @@ def _finalize(method: str, sigma2, lambda2, lambda4, diagnostics) -> MomentEstim
 
 
 def _difference_plan(method: str, variance, least: int, series: SampledSeries):
-    """``variance`` of the series and of its first two differences, as the
-    three moments; ``least`` is the shortest series accepted."""
+    """``variance`` of the series and of its first two difference quotients,
+    as the three moments; ``least`` is the shortest series accepted."""
     if len(series) < least:
         raise ValueError(f"need at least {least} samples")
-    dx = difference(series)
-    ddx = difference(dx)
-    return _finalize(
-        method, variance(series), variance(dx), variance(ddx), {"n": len(series)}
-    )
+    x = series.values
+    dx = np.diff(x) / series.spacing
+    ddx = np.diff(dx) / series.spacing
+    return _finalize(method, variance(x), variance(dx), variance(ddx), {"n": len(x)})
 
 
 def estimate_moments_mad(series: SampledSeries) -> MomentEstimate:
@@ -126,7 +110,7 @@ def estimate_moments_mad(series: SampledSeries) -> MomentEstimate:
 
 def estimate_moments_var(series: SampledSeries) -> MomentEstimate:
     """Sample-variance moments from the series and its differences."""
-    return _difference_plan("var", lambda s: np.var(s.values, ddof=1), 4, series)
+    return _difference_plan("var", lambda v: np.var(v, ddof=1), 4, series)
 
 
 def default_acf_lag_window(gamma: float, spacing: float) -> int:
@@ -197,36 +181,32 @@ def estimate_moments_crossing(series: SampledSeries) -> MomentEstimate:
 
     ``sigma2`` comes from the MAD; ``lambda2 = sigma2 * rate^2`` where
     ``rate`` estimates ``sqrt(lambda2/sigma2)`` from crossing counts;
-    ``lambda4`` repeats the construction on the difference series.
+    ``lambda4`` repeats the construction on the difference quotients.
     """
     if len(series) < 4:
         raise ValueError("need at least 4 samples")
-    sigma2 = mad_variance(series)
-    dx = difference(series)
-    lambda2_sigma2 = mad_variance(dx)
-    duration = (len(series) - 1) * series.spacing
-    dur_dx = (len(dx) - 1) * series.spacing
-    if sigma2 == 0.0 or lambda2_sigma2 == 0.0:
-        return _finalize(
-            "crossing", sigma2, 0.0, 0.0, {"n": len(series), "counts": (0, 0, 0)}
-        )
-    # Crossing levels are offsets from the center, so remove the median
-    # first; this is what keeps the estimate translation-invariant.
-    centered = series.values - np.median(series.values)
-    dx_centered = dx.values - np.median(dx.values)
-    rate, counts = _crossing_rate(centered, math.sqrt(sigma2), duration)
-    rate_dx, counts_dx = _crossing_rate(
-        dx_centered, math.sqrt(lambda2_sigma2), dur_dx
-    )
+    x = series.values
+    passes = (x, np.diff(x) / series.spacing)
+    variances = [mad_variance(v) for v in passes]
+    if 0.0 in variances:
+        return _finalize("crossing", variances[0], 0.0, 0.0, {"n": x.size, "counts": (0, 0, 0)})
+    moments, counts = [], []
+    for v, variance in zip(passes, variances):
+        # Crossing levels are offsets from the center, so remove the median
+        # first; this is what keeps the estimate translation-invariant.
+        duration = (v.size - 1) * series.spacing
+        rate, c = _crossing_rate(v - np.median(v), math.sqrt(variance), duration)
+        moments.append(variance * rate**2)
+        counts.append(c)
+    sigma2 = variances[0]
     return _finalize(
         "crossing",
         sigma2,
-        sigma2 * rate**2,
-        lambda2_sigma2 * rate_dx**2,
+        *moments,
         {
-            "n": len(series),
-            "counts": counts,
-            "counts_diff": counts_dx,
+            "n": x.size,
+            "counts": counts[0],
+            "counts_diff": counts[1],
             "levels": (0.0, 2.0 * math.sqrt(sigma2) / 3.0),
         },
     )

@@ -66,7 +66,6 @@ def explicit_study():
         "signal": {"peaks": [[10, 50], [8, 120]], "peak_scale": 3, "peak_truncation": 2},
         "noise": {"sigma": 1, "nu": 1},
         "grid": {"length": 200, "spacing": 1, "origin": 0},
-        "peak_spacing": 70,
         "gammas": [3],
         "replications": 4,
     }
@@ -795,6 +794,11 @@ class TestSplitReport:
 def test_huge_bandwidth_refused_before_any_kernel(tmp_path, capsys, command, gamma):
     # A 1e6 bandwidth would build 8e6 taps (64 MB), 1e15 more than any
     # address space holds, 1e308 an infinite reach: all are refused first.
+    # At 1e308 the noise model's moments leave the float range, which detect
+    # refuses even before it reads the input.
+    refusal = "series too short for the requested kernel"
+    if command[0] == "detect" and gamma == "1e308":
+        refusal = "put the model moments outside the float range"
     src = tmp_path / "series.txt"
     write_noise_file(src, n=300)
     tracemalloc.start()
@@ -804,7 +808,7 @@ def test_huge_bandwidth_refused_before_any_kernel(tmp_path, capsys, command, gam
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert "series too short for the requested kernel" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert peak < 8 << 20
 
 
@@ -987,7 +991,6 @@ SIM_LAYOUTS = st.fixed_dictionaries(
         "noise": st.fixed_dictionaries({}, optional={"sigma": json_number(0.5, 2), "nu": json_number(0, 1)}),
         "grid": st.fixed_dictionaries({"length": st.integers(240, 320)}, optional={"origin": json_number(-5, 5)}),
     },
-    optional={"peak_spacing": st.one_of(st.none(), json_number(40, 120))},
 )
 SIM_STUDIES = st.builds(lambda fields, layout: {**fields, **layout}, SIM_FIELDS, st.one_of(SIM_DESIGNS, SIM_LAYOUTS))
 
@@ -1224,6 +1227,14 @@ class TestCliDetect:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_model_moments_refused_before_input_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_series", refuse)
+        argv = ["detect", str(tmp_path / "series.txt"), "--gamma", "3", "--noise-sigma", "1e200"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: sigma=1e+200, nu=0.0 and gamma=3.0 put the model moments outside the float range\n"
+        )
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.txt"), "--gamma", "3"]) == 2
 
@@ -1401,7 +1412,11 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize(
         "block, key",
-        [(None, "replicatons"), ("signal", "peak_scal"), ("noise", "Nu"), ("grid", "lenght")],
+        [
+            (None, "replicatons"), ("signal", "peak_scal"), ("noise", "Nu"), ("grid", "lenght"),
+            # The spacing of a design is a layout parameter, not a study field.
+            (None, "peak_spacing"),
+        ],
     )
     def test_unknown_key_refused(self, tmp_path, capsys, monkeypatch, block, key):
         study = explicit_study()
@@ -1487,15 +1502,15 @@ class TestCliSimulate:
             return out[out.index('"config"'):out.index('"cells"')]
 
         ints = config(
-            {"design": {"num_peaks": 2, "peak_spacing": 100}, "gammas": [3],
+            {"design": {"num_peaks": 2, "peak_spacing": 100, "sigma": 2}, "gammas": [3],
              "kernel_truncation": 4, "replications": 2}
         )
         floats = config(
-            {"design": {"num_peaks": 2, "peak_spacing": 100.0}, "gammas": [3.0],
+            {"design": {"num_peaks": 2, "peak_spacing": 100.0, "sigma": 2.0}, "gammas": [3.0],
              "kernel_truncation": 4.0, "replications": 2}
         )
         assert ints == floats
-        assert '"peak_spacing": 100.0' in ints and '"kernel_truncation": 4.0' in ints
+        assert '"sigma": 2.0' in ints and '"kernel_truncation": 4.0' in ints
 
     @pytest.mark.parametrize("block, key", [(None, "signal"), ("grid", "length")])
     def test_missing_key_named(self, tmp_path, capsys, monkeypatch, block, key):
@@ -1545,11 +1560,16 @@ class TestCliSimulate:
             ("peak_truncation", -1, "peak_truncation must be positive and finite"),
             ("signal_fraction", 0.5, "the grid window drops 15 of 20 peaks"),
             ("peak_spacing", 200.0, "the grid window drops 10 of 20 peaks"),
+            (
+                "sigma", 1e200,
+                "sigma=1e+200, nu=0.0 and gamma=3.0 put the model moments outside the float range",
+            ),
         ],
     )
     def test_bad_design_refused_by_name(self, tmp_path, capsys, monkeypatch, key, value, message):
         # One error line and no traceback: no division by zero, no window
-        # that drops peaks, no grid-length text for a layout key.
+        # that drops peaks, no grid-length text for a layout key, no model
+        # moments outside the float range.
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps({"design": {key: value}, "gammas": [3.0], "replications": 2}))
         monkeypatch.setattr(cli, "run_simulation", refuse)
@@ -1557,14 +1577,16 @@ class TestCliSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_model_moments_outside_float_range_refused(self, tmp_path, capsys, workers):
+    def test_model_moments_outside_float_range_refused(self, tmp_path, capsys, monkeypatch, workers):
+        # The explicit layout is refused as the design is: before any process starts.
+        study = explicit_study()
+        study.update(noise={"sigma": 1e200, "nu": 1}, workers=workers)
         cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps(
-            {"design": {"sigma": 1e200}, "gammas": [3.0], "replications": 4, "workers": workers}
-        ))
+        cfg.write_text(json.dumps(study))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert capsys.readouterr().err == (
-            "error: sigma=1e+200, nu=0.0 and gamma=3.0 put the model moments outside the float range\n"
+            "error: sigma=1e+200, nu=1.0 and gamma=3.0 put the model moments outside the float range\n"
         )
 
     def test_explicit_peak_outside_grid_refused(self, tmp_path, capsys, monkeypatch):
@@ -1606,7 +1628,7 @@ class TestCliSimulate:
         # JSON integers in float fields come back as floats.
         signal, noise, grid = echoed["signal"], echoed["noise"], echoed["grid"]
         floats = [signal["peak_scale"], signal["peak_truncation"], noise["sigma"],
-                  noise["nu"], grid["spacing"], grid["origin"], echoed["peak_spacing"]]
+                  noise["nu"], grid["spacing"], grid["origin"]]
         assert all(isinstance(v, float) for v in floats)
         back = tmp_path / "back.json"
         back.write_text(json.dumps(echoed))

@@ -42,6 +42,7 @@ class TestConfigValidation:
             {"gamma": 3.0, "method": "holm"},
             {"gamma": 3.0, "moments_source": "median"},
             {"gamma": 3.0, "moments_source": 42},
+            {"gamma": 3.0, "moments_source": NoiseSpec(sigma=1e200)},  # moments overflow
         ],
     )
     def test_rejects(self, kwargs):

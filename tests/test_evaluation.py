@@ -189,7 +189,7 @@ class TestStandardDesign:
         assert config.grid.length == 2000
         assert config.signal.peaks[0] == (10.0, 50.0)
         assert config.signal.peaks[-1] == (10.0, 1950.0)
-        assert config.peak_spacing == 100.0
+        assert config.signal.peaks[1][1] - config.signal.peaks[0][1] == 100.0
 
     def test_overlapping_design_shrinks_window(self):
         # Spacing 9 < width 12: union 240 - 19 * 3 = 183 -> 1525 samples.
@@ -224,7 +224,7 @@ class TestStandardDesign:
         defaults = {
             f.name: f.default
             for f in dataclasses.fields(SimConfig)
-            if f.default is not dataclasses.MISSING and f.name != "peak_spacing"
+            if f.default is not dataclasses.MISSING
         }
         assert defaults
         assert {name: getattr(config, name) for name in defaults} == defaults
@@ -267,6 +267,14 @@ class TestSimConfigValidation:
         signal = SignalSpec(((5.0, 50.0), (5.0, 500.0)))
         with pytest.raises(ValueError, match="the grid window drops 1 of 2 peaks"):
             SimConfig(signal, NoiseSpec(), Grid(200), (3.0,))
+
+    @pytest.mark.parametrize(
+        "noise, gammas", [(NoiseSpec(sigma=1e200), (3.0,)), (NoiseSpec(), (3.0, 1e-300))]
+    )
+    def test_model_moments_outside_float_range_refused(self, noise, gammas):
+        signal = SignalSpec(((5.0, 50.0),))
+        with pytest.raises(ValueError, match="outside the float range"):
+            SimConfig(signal, noise, Grid(200), gammas)
 
     @pytest.mark.parametrize(
         "layout",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from peaksig import (
@@ -15,7 +17,6 @@ from peaksig import (
     convolve,
     count_upcrossings,
     default_acf_lag_window,
-    difference,
     estimate_moments_acf,
     estimate_moments_crossing,
     estimate_moments_mad,
@@ -40,38 +41,19 @@ def smoothed_noise(n, seed, gamma=1.5):
     return SampledSeries(convolve(raw.values, kernel), boundary=kernel.half_width)
 
 
-class TestDifference:
-    def test_example(self):
-        s = SampledSeries([1.0, 4.0, 9.0], spacing=1.0, origin=0.0)
-        d = difference(s)
-        assert d.values.tolist() == [3.0, 5.0]
-        assert d.origin == 0.5
-        assert d.spacing == 1.0
-
-    def test_spacing_scales_quotient(self):
-        s = SampledSeries([1.0, 4.0, 9.0], spacing=0.5, origin=2.0)
-        d = difference(s)
-        assert d.values.tolist() == [6.0, 10.0]
-        assert d.origin == 2.25
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            difference(SampledSeries([1.0]))
-
-
 class TestMadVariance:
     def test_example(self):
-        s = SampledSeries([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert mad_variance(s) == pytest.approx(2.1981, abs=1e-3)
-        assert mad_variance(s) == pytest.approx(MAD_SCALE**2, rel=1e-12)
+        v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert mad_variance(v) == pytest.approx(2.1981, abs=1e-3)
+        assert mad_variance(v) == pytest.approx(MAD_SCALE**2, rel=1e-12)
 
     def test_constant_is_zero(self):
-        assert mad_variance(SampledSeries([7.0, 7.0, 7.0])) == 0.0
+        assert mad_variance(np.array([7.0, 7.0, 7.0])) == 0.0
 
     def test_consistent_for_gaussian(self):
         rng = np.random.default_rng(5)
-        s = SampledSeries(rng.normal(0.0, 1.7, size=1_000_000))
-        assert mad_variance(s) == pytest.approx(1.7**2, rel=0.01)
+        v = rng.normal(0.0, 1.7, size=1_000_000)
+        assert mad_variance(v) == pytest.approx(1.7**2, rel=0.01)
 
     def test_scale_constant(self):
         assert MAD_SCALE == pytest.approx(1.0 / ndtri(0.75), rel=1e-15)
@@ -255,3 +237,63 @@ class TestDegenerateFlagging:
             est = fn(s, 5) if name == "acf" else fn(s)
             assert not est.degenerate, name
             est.moments.validate()
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact reference: each difference-plan estimate is the plain numpy
+# formula of its docstring, on np.diff quotients.
+
+
+def reference_mad_variance(v):
+    return (MAD_SCALE * np.median(np.abs(v - np.median(v)))) ** 2
+
+
+def reference_upcrossings(v, level):
+    return np.count_nonzero((v[:-1] < level) & (v[1:] >= level))
+
+
+def reference_rate(v, sigma2, duration):
+    level = 2.0 * math.sqrt(sigma2) / 3.0
+    v = v - np.median(v)
+    counts = [reference_upcrossings(v, u) for u in (0.0, level, -level)]
+    weighted = counts[0] + math.exp((2.0 / 3.0) ** 2 / 2.0) * (counts[1] + counts[2])
+    return (2.0 * math.pi / duration) * weighted / 3.0
+
+
+def reference_moments(method, x, spacing):
+    dx = np.diff(x) / spacing
+    ddx = np.diff(dx) / spacing
+    if method == "mad":
+        return tuple(map(reference_mad_variance, (x, dx, ddx)))
+    if method == "var":
+        return tuple(np.var(v, ddof=1) for v in (x, dx, ddx))
+    sigma2, lambda2_sigma2 = reference_mad_variance(x), reference_mad_variance(dx)
+    if sigma2 == 0.0 or lambda2_sigma2 == 0.0:
+        return sigma2, 0.0, 0.0
+    rate = reference_rate(x, sigma2, (x.size - 1) * spacing)
+    rate_dx = reference_rate(dx, lambda2_sigma2, (dx.size - 1) * spacing)
+    return sigma2, sigma2 * rate**2, lambda2_sigma2 * rate_dx**2
+
+
+@st.composite
+def series_values(draw):
+    """Random, rounded (plateaus and ties) or constant values, 4 to 200 long."""
+    n = draw(st.integers(4, 200))
+    kind = draw(st.sampled_from(["random", "rounded", "constant"]))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e3, 1e3)))
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return np.round(values / 300.0) if kind == "rounded" else values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["mad", "var", "crossing"]),
+    series_values(),
+    st.sampled_from([1.0, 0.5, 1e-3, 3.7, 250.0]) | st.floats(1e-3, 1e3),
+)
+def test_difference_plans_equal_numpy_reference_bits(method, values, spacing):
+    est = ESTIMATORS[method](SampledSeries(values, spacing=spacing, origin=-2.5))
+    got = np.array([est.moments.sigma2, est.moments.lambda2, est.moments.lambda4])
+    want = np.array(reference_moments(method, values, spacing), dtype=float)
+    assert got.tobytes() == want.tobytes(), (got, want)
