@@ -158,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="smooth at this bandwidth first; omit if the series is already smoothed",
     )
-    p.add_argument(
-        "--lag-window",
-        type=int,
-        help="fit window, in lags, for the acf estimator",
-    )
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_estimate)
 
@@ -389,14 +384,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.lag_window is not None and args.estimator != "acf":
-        raise ValueError("--lag-window needs --estimator acf")
-    if args.estimator == "acf" and args.lag_window is None and args.gamma is None:
-        raise ValueError("the acf estimator needs --lag-window or --gamma")
+    if args.estimator == "acf" and args.gamma is None:
+        raise ValueError("the acf estimator needs --gamma")
     series = _series(args)
     if args.gamma is not None:
         series, _ = _smooth(series, args.gamma)
-    estimate = estimate_smoothed_moments(series, args.estimator, args.gamma, args.lag_window)
+    estimate = estimate_smoothed_moments(series, args.estimator, args.gamma)
     payload = {
         "estimator": estimate.method,
         "gamma": args.gamma,
@@ -488,6 +481,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -32,7 +32,7 @@ from .nulldist import (
     assign_pvalues,
     gaussian_model_moments,
 )
-from .series import SampledSeries
+from .series import SampledSeries, _positive
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = ["DetectorConfig", "DetectionResult", "detect", "estimate_smoothed_moments"]
@@ -59,8 +59,8 @@ class DetectorConfig:
     subtract_mean: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be positive")
+        _positive(self.gamma, "gamma")
+        _positive(self.kernel_truncation, "kernel truncation")
         mtp._check_alpha(self.alpha)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
@@ -110,27 +110,22 @@ def _smooth(series, gamma, truncation=DEFAULT_KERNEL_TRUNCATION):
 
 
 def estimate_smoothed_moments(
-    smoothed: SampledSeries,
-    estimator: str,
-    gamma: float | None = None,
-    lag_window: int | None = None,
+    smoothed: SampledSeries, estimator: str, gamma: float | None = None
 ) -> MomentEstimate:
     """Estimate the null moments of a smoothed series with a named estimator.
 
     Only the interior, outside the ``smoothed.boundary`` zone, is used.
-    The ``acf`` estimator fits ``lag_window`` lags, by default
-    ``default_acf_lag_window(gamma, spacing)`` for smoothing bandwidth
-    ``gamma``. A degenerate estimate is returned, not raised.
+    The ``acf`` estimator needs the smoothing bandwidth ``gamma``, and fits
+    ``default_acf_lag_window(gamma, spacing)`` lags. A degenerate estimate
+    is returned, not raised.
     """
     b = smoothed.boundary
     interior = smoothed.crop(b, len(smoothed) - b) if b > 0 else smoothed
     if estimator != "acf":
         return ESTIMATORS[estimator](interior)
-    if lag_window is None:
-        if gamma is None:
-            raise ValueError("the acf estimator needs a lag window or a bandwidth")
-        lag_window = default_acf_lag_window(gamma, smoothed.spacing)
-    return estimate_moments_acf(interior, lag_window)
+    if gamma is None:
+        raise ValueError("the acf estimator needs a bandwidth")
+    return estimate_moments_acf(interior, default_acf_lag_window(gamma, smoothed.spacing))
 
 
 def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:

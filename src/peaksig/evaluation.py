@@ -41,7 +41,7 @@ from .model import (
 )
 from .mtp import _METHODS, _check_alpha, reject_rows
 from .nulldist import gaussian_model_moments, peak_height_right_cdf
-from .series import Grid, _whole
+from .series import Grid, _positive, _whole
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = [
@@ -238,8 +238,10 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.gammas or any(g <= 0 for g in self.gammas):
-            raise ValueError("gammas must be a nonempty tuple of positive floats")
+        if not self.gammas:
+            raise ValueError("gammas must be nonempty")
+        for g in self.gammas:
+            _positive(g, "gammas")
         _check_alpha(self.alpha)
         if not self.methods or any(m not in _METHODS for m in self.methods):
             raise ValueError(f"methods must be drawn from {', '.join(map(repr, _METHODS))}")
@@ -453,8 +455,7 @@ def standard_design(
     num_peaks = _whole(num_peaks, "num_peaks", 1)
     for name, value in (("peak_spacing", peak_spacing), ("peak_scale", peak_scale),
                         ("peak_truncation", peak_truncation), ("spacing", spacing)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite")
+        _positive(value, name)
     if not 0 < signal_fraction <= 1:
         raise ValueError("signal_fraction must lie in (0, 1]")
     width = 2.0 * peak_truncation * peak_scale
@@ -482,8 +483,7 @@ def optimal_gamma(peak_scale: float, nu: float) -> float:
     ``sqrt(peak_scale^2 - 2 nu^2)`` when that is real, else 0: for
     strongly autocorrelated noise no extra smoothing helps.
     """
-    if not (np.isfinite(peak_scale) and peak_scale > 0):
-        raise ValueError("peak scale must be positive")
+    _positive(peak_scale, "peak scale")
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError("nu must be >= 0")
     gap = peak_scale**2 - 2.0 * nu**2

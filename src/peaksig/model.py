@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import Grid, SampledSeries
+from .series import Grid, SampledSeries, _positive
 from .smoothing import make_gaussian_kernel
 
 __all__ = [
@@ -60,13 +60,10 @@ class SignalSpec:
     def __post_init__(self):
         peaks = tuple((float(a), float(tau)) for a, tau in self.peaks)
         object.__setattr__(self, "peaks", peaks)
-        if not (np.isfinite(self.peak_scale) and self.peak_scale > 0):
-            raise ValueError("peak scale must be positive")
-        if not (np.isfinite(self.peak_truncation) and self.peak_truncation > 0):
-            raise ValueError("peak truncation must be positive")
+        _positive(self.peak_scale, "peak scale")
+        _positive(self.peak_truncation, "peak truncation")
         for a, tau in peaks:
-            if not (np.isfinite(a) and a > 0):
-                raise ValueError("peak amplitudes must be positive")
+            _positive(a, "peak amplitudes")
             if not np.isfinite(tau):
                 raise ValueError("peak centers must be finite")
 
@@ -86,8 +83,7 @@ class NoiseSpec:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("noise sigma must be positive")
+        _positive(self.sigma, "noise sigma")
         if not (np.isfinite(self.nu) and self.nu >= 0):
             raise ValueError("noise bandwidth nu must be >= 0")
 

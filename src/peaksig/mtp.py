@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulldist import SpectralMoments, expected_num_maxima, peak_height_right_cdf_inverse
+from .series import _positive
 
 __all__ = [
     "MtpDecision",
@@ -180,8 +181,7 @@ def bonferroni_approx_threshold(
     """
     _check_alpha(alpha)
     m.validate()
-    if not (np.isfinite(length) and length > 0):
-        raise ValueError("length must be positive")
+    _positive(length, "length")
     arg = (length / alpha) * math.sqrt(m.lambda2 / (2.0 * math.pi * m.sigma2))
     if arg <= 1.0:
         raise ValueError(
@@ -204,7 +204,6 @@ def asymptotic_bh_threshold(
     """
     _check_alpha(alpha)
     null_rate = expected_num_maxima(m, 1.0)
-    if not (np.isfinite(signal_density) and signal_density > 0):
-        raise ValueError("signal density must be positive")
+    _positive(signal_density, "signal density")
     target = alpha * signal_density / (signal_density + null_rate * (1.0 - alpha))
     return peak_height_right_cdf_inverse(m, target)

@@ -37,6 +37,7 @@ import numpy as np
 from ._normal import log_ndtr, ndtr
 from .maxima import Candidates
 from .model import NoiseSpec
+from .series import _positive
 
 __all__ = [
     "InvalidMomentsError",
@@ -91,8 +92,7 @@ def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
 
     Inputs whose moments (or ``Delta``) overflow or underflow are refused.
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError("gamma must be positive")
+    _positive(gamma, "gamma")
     try:
         xi = math.hypot(gamma, noise.nu)
         s2 = noise.sigma**2
@@ -185,8 +185,7 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
 def expected_num_maxima(m: SpectralMoments, length: float) -> float:
     """Expected number of local maxima on a stretch of given length."""
     m.validate()
-    if not (np.isfinite(length) and length > 0):
-        raise ValueError("length must be positive")
+    _positive(length, "length")
     return length / (2.0 * math.pi) * math.sqrt(m.lambda4 / m.lambda2)
 
 

@@ -16,10 +16,15 @@ def _whole(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _positive(value, what: str) -> None:
+    """Refuse ``value``, named ``what`` in the error, unless it is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be positive and finite")
+
+
 def _check_times(what: str, spacing, origin, length: int) -> None:
     """Refuse a ``what`` of ``length`` samples whose times are not all finite."""
-    if not (np.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"{what} spacing must be positive and finite")
+    _positive(spacing, f"{what} spacing")
     if not np.isfinite(origin):
         raise ValueError(f"{what} origin must be finite")
     if not np.isfinite(origin + spacing * (length - 1)):

@@ -12,9 +12,12 @@ the kernel is renormalized over the in-range part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .series import _positive
 
 __all__ = ["Kernel", "make_gaussian_kernel", "kernel_fits", "convolve", "DEFAULT_KERNEL_TRUNCATION"]
 
@@ -26,7 +29,7 @@ DEFAULT_KERNEL_TRUNCATION = 4.0
 # FFT cost the same at ~85 taps (~7 ms); at 801 taps the FFT is ~6x faster.
 _FFT_MIN_TAPS = 100
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,18 +53,18 @@ class Kernel:
         object.__setattr__(self, "weights", weights)
         if weights.size != 2 * self.half_width + 1:
             raise ValueError("kernel weights must have length 2 * half_width + 1")
-        if abs(weights.sum() * self.spacing - 1.0) > 1e-12:
+        if not abs(weights.sum() * self.spacing - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("kernel weights must integrate to 1 on the grid")
 
 
 def _half_width(gamma: float, truncation: float, spacing: float) -> int:
     """Half-width in samples of ``make_gaussian_kernel``'s kernel, not building it."""
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError("kernel bandwidth must be positive")
-    if not (np.isfinite(truncation) and truncation > 0):
-        raise ValueError("kernel truncation must be positive")
-    if not (np.isfinite(spacing) and spacing > 0):
-        raise ValueError("kernel spacing must be positive")
+    _positive(gamma, "kernel bandwidth")
+    _positive(truncation, "kernel truncation")
+    _positive(spacing, "kernel spacing")
+    # Below about 2.2e-309 the peak density overflows and the weights are NaN.
+    if math.isinf(1.0 / (float(gamma) * _SQRT_2PI)):
+        raise ValueError(f"kernel bandwidth {gamma!r} is too small: its peak density overflows")
     # Small epsilon so an exact multiple of the spacing lands inside; the
     # cap keeps a reach that overflows to inf an integer.
     return int(np.floor(min(truncation * gamma / spacing + 1e-9, 2.0**62)))

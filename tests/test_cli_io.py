@@ -1235,6 +1235,36 @@ class TestCliDetect:
             "error: sigma=1e+200, nu=0.0 and gamma=3.0 put the model moments outside the float range\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gamma", "inf"], "gamma must be positive and finite"),
+            (["--gamma", "3", "--noise-sigma", "inf"], "noise sigma must be positive and finite"),
+            (
+                ["--gamma", "3", "--noise-sigma", "1", "--kernel-truncation", "-1"],
+                "kernel truncation must be positive and finite",
+            ),
+            (["--gamma", "3", "--kernel-truncation", "nan"], "kernel truncation must be positive and finite"),
+        ],
+    )
+    def test_scale_refused_before_input_is_read(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["detect", str(tmp_path / "series.txt"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_underflowing_bandwidth_refused_by_name(self, tmp_path, capsys):
+        # At gamma 1e-320 the kernel's peak density 1 / (gamma sqrt(2 pi))
+        # is inf: the bandwidth is refused, not the input for the NaN kernel.
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["detect", str(src), "--gamma", "1e-320", "--moments", "mad"]) == 1
+        assert capsys.readouterr().err == (
+            "error: kernel bandwidth 1e-320 is too small: its peak density overflows\n"
+        )
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.txt"), "--gamma", "3"]) == 2
 
@@ -1576,6 +1606,14 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("gammas", ["nan", "inf", "3,-1"])
+    def test_bad_gamma_refused_by_name(self, tmp_path, capsys, monkeypatch, gammas):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"design": {}, "replications": 2}))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        assert main(["simulate", "--config", str(cfg), "--seed", "1", "--gammas", gammas]) == 1
+        assert capsys.readouterr().err == "error: gammas must be positive and finite\n"
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_model_moments_outside_float_range_refused(self, tmp_path, capsys, monkeypatch, workers):
         # The explicit layout is refused as the design is: before any process starts.
@@ -1690,25 +1728,17 @@ class TestCliEstimateMoments:
         assert "need at least 4 samples" in err and "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_acf_needs_window_or_gamma(self, tmp_path, monkeypatch):
+    def test_acf_needs_gamma(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "series.txt"
         write_noise_file(src, n=500, seed=8)
-        assert (
-            main(["estimate-moments", str(src), "--estimator", "acf",
-                  "--lag-window", "5"])
-            == 0
-        )
+        assert main(["estimate-moments", str(src), "--estimator", "acf", "--gamma", "1.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["lag_window"] == 5
         # The usage error comes before the input is read.
         monkeypatch.setattr(cli, "load_series", refuse)
         assert main(["estimate-moments", str(src), "--estimator", "acf"]) == 1
-
-    @pytest.mark.parametrize("estimator", [[], ["--estimator", "mad"], ["--estimator", "crossing"]])
-    def test_lag_window_needs_acf(self, tmp_path, capsys, monkeypatch, estimator):
-        # Only the acf estimator fits a lag window; the others would ignore it.
-        monkeypatch.setattr(cli, "load_series", refuse)
-        argv = ["estimate-moments", str(tmp_path / "series.txt"), *estimator, "--lag-window", "7"]
-        assert main(argv) == 1
-        assert "--lag-window needs --estimator acf" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: the acf estimator needs --gamma\n"
+        # The window follows from --gamma; the flag that set it is gone.
+        assert main(["estimate-moments", str(src), "--estimator", "acf", "--lag-window", "5"]) == 1
 
 
 class TestCliPvalueTable:
@@ -1730,6 +1760,14 @@ class TestCliPvalueTable:
         assert len(lines) == 6
         ps = [float(line.split(",")[1]) for line in lines[1:]]
         assert ps == sorted(ps, reverse=True)
+
+    def test_grid_past_memory_refused(self, capsys):
+        # 10^15 heights need 7.1 PiB, past the address space, so the
+        # allocation fails at once: one error line, no traceback.
+        argv = ["pvalue-table", "--gamma", "3", "--min", "0", "--max", "1", "--num", "1000000000000000"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_inverse_table_roundtrips(self, capsys):
         from peaksig import gaussian_model_moments, peak_height_right_cdf

@@ -1,7 +1,55 @@
 import numpy as np
 import pytest
 
-from peaksig import Grid, SampledSeries
+from peaksig import (
+    DetectorConfig,
+    Grid,
+    NoiseSpec,
+    SampledSeries,
+    SignalSpec,
+    SpectralMoments,
+    asymptotic_bh_threshold,
+    bonferroni_approx_threshold,
+    expected_num_maxima,
+    gaussian_model_moments,
+    make_gaussian_kernel,
+    optimal_gamma,
+    standard_design,
+)
+
+MOMENTS = SpectralMoments(1.0, 1.0, 3.0)
+
+# Every scale setting, by the name its error gives, and a call that sets it to v.
+SCALES = [
+    ("kernel bandwidth", lambda v: make_gaussian_kernel(v)),
+    ("kernel truncation", lambda v: make_gaussian_kernel(3.0, v)),
+    ("kernel spacing", lambda v: make_gaussian_kernel(3.0, 4.0, v)),
+    ("peak scale", lambda v: SignalSpec(peak_scale=v)),
+    ("peak truncation", lambda v: SignalSpec(peak_truncation=v)),
+    ("peak amplitudes", lambda v: SignalSpec(peaks=((v, 0.0),))),
+    ("noise sigma", lambda v: NoiseSpec(sigma=v)),
+    ("gamma", lambda v: DetectorConfig(gamma=v)),
+    ("kernel truncation", lambda v: DetectorConfig(gamma=3.0, kernel_truncation=v)),
+    ("gamma", lambda v: gaussian_model_moments(NoiseSpec(), v)),
+    ("length", lambda v: expected_num_maxima(MOMENTS, v)),
+    ("length", lambda v: bonferroni_approx_threshold(MOMENTS, v, 0.05)),
+    ("signal density", lambda v: asymptotic_bh_threshold(MOMENTS, v, 0.05)),
+    ("gammas", lambda v: standard_design(gammas=(3.0, v))),
+    ("peak_spacing", lambda v: standard_design(peak_spacing=v)),
+    ("peak_scale", lambda v: standard_design(peak_scale=v)),
+    ("peak_truncation", lambda v: standard_design(peak_truncation=v)),
+    ("spacing", lambda v: standard_design(spacing=v)),
+    ("peak scale", lambda v: optimal_gamma(v, 0.0)),
+    ("series spacing", lambda v: SampledSeries([1.0, 2.0], spacing=v)),
+    ("grid spacing", lambda v: Grid(5, v)),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("what, build", SCALES, ids=[f"{i}-{w.replace(' ', '_')}" for i, (w, _) in enumerate(SCALES)])
+def test_scale_must_be_positive_and_finite(what, build, value):
+    with pytest.raises(ValueError, match=f"^{what} must be positive and finite$"):
+        build(value)
 
 
 class TestGrid:

@@ -14,6 +14,7 @@ from peaksig import (
     synthesize_signal,
 )
 from peaksig.detector import _smooth
+from peaksig.smoothing import kernel_fits
 
 
 class TestMakeGaussianKernel:
@@ -57,6 +58,18 @@ class TestMakeGaussianKernel:
             Kernel(weights=np.ones(4) / 4.0, spacing=1.0, half_width=2)
         with pytest.raises(ValueError):
             Kernel(weights=np.ones(5), spacing=1.0, half_width=2)
+        with pytest.raises(ValueError, match="integrate to 1"):
+            Kernel(weights=np.array([np.nan]), spacing=1.0, half_width=0)
+
+    def test_underflowing_bandwidth_refused(self):
+        # Below about 2.2e-309 the peak density 1 / (gamma sqrt(2 pi)) is
+        # inf and every weight NaN: refused before any weight is computed.
+        message = "kernel bandwidth 1e-320 is too small: its peak density overflows"
+        with pytest.raises(ValueError, match=message):
+            kernel_fits(100, 1e-320, 4.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            make_gaussian_kernel(1e-320)
+        assert make_gaussian_kernel(2.22e-309).weights.tolist() == [1.0]
 
 
 class TestConvolve:
