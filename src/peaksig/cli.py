@@ -10,8 +10,8 @@ pvalue-table      tabulate peak-height p-values (or inverse) for given moments
 A config file is read by the field types of ``DetectorConfig``,
 ``SimConfig`` and, for a design, ``standard_design``: a nested spec from
 an object, a tuple from a list (a pair from two items), a float or an int
-from a number but never a boolean, a bool or a str only from its own JSON
-type. Flags a chosen mode would ignore are refused. Every command writes
+from a number but never a boolean (nor, for a float, an integer past the
+float range), a bool or a str only from its own JSON type. Flags a chosen mode would ignore are refused. Every command writes
 its output through :mod:`peaksig.io`.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
@@ -255,7 +255,12 @@ def _read(kind, value, where: str, key: str):
         items = items[:1] * len(value) if items[-1] is Ellipsis else items
         pairs = enumerate(zip(items, value))
         return tuple(_read(item, v, where, f"{key}[{i}]") for i, (item, v) in pairs)
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} key {key!r} is too large: it does not fit in a float") from None
 
 
 def _read_fields(kinds: dict, block: dict, where: str) -> dict:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,6 +394,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     k = min(n, max(workers, -(-n // rows)))
     tasks = [(config, n * i // k, n * (i + 1) // k) for i in range(k)]
     if workers > 1 and k > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, k)) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:

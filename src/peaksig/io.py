@@ -22,13 +22,10 @@ JSON uses the stdlib encoder, so infinite thresholds round-trip as
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
-import signal
 import threading
 import warnings
 from datetime import datetime, timezone
@@ -60,6 +57,8 @@ class SeriesFormatError(ValueError):
 
 
 def file_sha256(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -97,6 +96,8 @@ def _can_fork() -> bool:
     with SIGCHLD ignored, which reaps the child before its status is read;
     and only with a second usable CPU.
     """
+    import signal
+
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return False
     if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
@@ -167,6 +168,8 @@ def _beside_child(child, parent):
     ``(None, False)`` if the fork fails. The child is killed if
     ``parent`` fails or raises, and reaped before this returns or raises.
     """
+    import signal
+
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -291,6 +294,8 @@ def _load_plain(path, spacing: float, origin: float) -> SampledSeries:
 
 
 def _read_csv_rows(path) -> np.ndarray:
+    import csv
+
     rows = []
     for lineno, row in enumerate(csv.reader(_text_lines(path, newline="")), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -428,6 +433,8 @@ def write_json(payload: dict, path) -> None:
 
 def write_table(header, rows, path, lineterminator: str = "\n") -> None:
     """``header`` and ``rows`` as comma-separated lines, to ``path`` or an open text stream."""
+    import csv
+
     with _text_output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)

@@ -10,8 +10,13 @@ __all__ = ["Grid", "SampledSeries"]
 
 
 def _whole(value, name: str, least: int) -> int:
-    """``value`` as an int; refused unless it is a whole number >= ``least``."""
-    if not (value >= least and float(value).is_integer()):
+    """``value`` as an int; refused unless it is a whole number >= ``least``
+    that a float holds."""
+    try:
+        whole = value >= least and float(value).is_integer()
+    except OverflowError:
+        raise ValueError(f"{name} is too large: it does not fit in a float") from None
+    if not whole:
         raise ValueError(f"{name} must be an integer >= {least}")
     return int(value)
 

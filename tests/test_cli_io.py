@@ -1253,6 +1253,16 @@ class TestCliDetect:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_json_integer_past_float_range_refused_by_name(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 10**400}))
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["detect", str(tmp_path / "series.txt"), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: detector config key 'gamma' is too large: it does not fit in a float\n"
+        )
+
     def test_underflowing_bandwidth_refused_by_name(self, tmp_path, capsys):
         # At gamma 1e-320 the kernel's peak density 1 / (gamma sqrt(2 pi))
         # is inf: the bandwidth is refused, not the input for the NaN kernel.
@@ -1613,6 +1623,22 @@ class TestCliSimulate:
         monkeypatch.setattr(cli, "run_simulation", refuse)
         assert main(["simulate", "--config", str(cfg), "--seed", "1", "--gammas", gammas]) == 1
         assert capsys.readouterr().err == "error: gammas must be positive and finite\n"
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--seed", "base_seed"), ("--replications", "replications")]
+    )
+    def test_integer_flag_past_float_range_refused_by_name(
+        self, tmp_path, capsys, monkeypatch, flag, name
+    ):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(explicit_study()))
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        argv = ["simulate", "--config", str(cfg), "--seed", "1", flag, str(10**400)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {name} is too large: it does not fit in a float\n"
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_model_moments_outside_float_range_refused(self, tmp_path, capsys, monkeypatch, workers):

@@ -1,5 +1,6 @@
 """Tests for truth regions, outcome accounting, and the simulation harness."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -7,7 +8,6 @@ import os
 import numpy as np
 import pytest
 
-from peaksig import evaluation
 from peaksig import (
     DEFAULT_BANDWIDTH_GRID,
     Candidates,
@@ -345,7 +345,7 @@ class TestRunSimulation:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         report = run_simulation(dataclasses.replace(self.CONFIG, workers=workers))

@@ -62,7 +62,7 @@ class TestGrid:
         [
             (0, 1.0, 0.0), (-3, 1.0, 0.0), (2.5, 1.0, 0.0), (np.inf, 1.0, 0.0),
             (np.nan, 1.0, 0.0), (5, 0.0, 0.0), (5, -1.0, 0.0), (5, 1.0, np.inf),
-            (500, 1e306, 1e308),
+            (500, 1e306, 1e308), pytest.param(10**400, 1.0, 0.0, id="1e400-1.0-0.0"),
         ],
     )
     def test_rejects_bad_parameters(self, length, spacing, origin):
