@@ -107,7 +107,8 @@ def ndtr(a):
     # Past MAXLOG the tail is 0; nan comes back as scipy's positive nan.
     y = np.where(np.isnan(z), math.nan, 0.0)
     near = (1.0 <= z) & (z < 8.0)
-    far = (8.0 <= z) & (z * z <= _MAXLOG)
+    zc = np.minimum(z, 1e154)  # squares without overflow; the test is unchanged
+    far = (8.0 <= z) & (zc * zc <= _MAXLOG)
     for part, p, q in ((near, _P, _Q), (far, _R, _S)):
         if part.any():
             zp = z[part]

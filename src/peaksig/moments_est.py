@@ -73,8 +73,10 @@ def mad_variance(values: np.ndarray) -> float:
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("values are empty")
-    mad = np.median(np.abs(v - np.median(v)))
-    return float((MAD_SCALE * mad) ** 2)
+    scale = MAD_SCALE * float(np.median(np.abs(v - np.median(v))))
+    # A product, not a power: libm's pow can round 2^k x and x differently,
+    # and a float product overflows to inf without a warning.
+    return scale * scale
 
 
 def count_upcrossings(values: np.ndarray, level: float) -> int:
@@ -196,7 +198,7 @@ def estimate_moments_crossing(series: SampledSeries) -> MomentEstimate:
         # first; this is what keeps the estimate translation-invariant.
         duration = (v.size - 1) * series.spacing
         rate, c = _crossing_rate(v - np.median(v), math.sqrt(variance), duration)
-        moments.append(variance * rate**2)
+        moments.append(variance * (rate * rate))  # a product, as in mad_variance
         counts.append(c)
     sigma2 = variances[0]
     return _finalize(

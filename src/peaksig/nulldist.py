@@ -25,6 +25,12 @@ bandwidth ``gamma``, combined bandwidth ``xi = sqrt(gamma^2 + nu^2)``,
     sigma2  = sigma^2 / (2 sqrt(pi) xi)
     lambda2 = sigma^2 / (4 sqrt(pi) xi^3)
     lambda4 = 3 sigma^2 / (8 sqrt(pi) xi^5)
+
+The law depends on the moments only through ``u / sigma`` and ``lambda2 /
+(sigma sqrt(lambda4))``. :func:`_law` forms it on the moments divided by
+``4^k``, ``k = frexp(sigma2)[1] // 2``, and ``lambda2``, ``lambda4`` also by
+``4^h``, ``16^h``, ``h`` from ``lambda4``'s exponent: exact, so power-of-two
+units of data or time move no bit, and no product of feasible moments overflows.
 """
 
 from __future__ import annotations
@@ -61,41 +67,25 @@ class InvalidMomentsError(ValueError):
 class SpectralMoments:
     """Variances of a stationary process and its first two derivatives.
 
-    Validity (all positive, ``delta > 0``) is checked where the values
-    are consumed, so that estimated, possibly degenerate moments can be
-    carried around and inspected.
-    """
+    Validity (all positive, ``sigma2 * lambda4 > lambda2^2``) is checked
+    where the values are consumed, so estimated moments can be inspected."""
 
     sigma2: float
     lambda2: float
     lambda4: float
 
-    @property
-    def delta(self) -> float:
-        return self.sigma2 * self.lambda4 - self.lambda2**2
-
     def validate(self) -> "SpectralMoments":
-        for name in ("sigma2", "lambda2", "lambda4"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidMomentsError(f"{name} must be positive, got {v!r}")
-        if not self.delta > 0:
-            raise InvalidMomentsError(
-                "sigma2 * lambda4 - lambda2^2 must be positive "
-                f"(got {self.delta!r}); the moments are not jointly feasible"
-            )
+        _law(self)
         return self
 
 
 def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
-    """Closed-form spectral moments of ``noise`` smoothed at bandwidth ``gamma``.
-
-    Inputs whose moments (or ``Delta``) overflow or underflow are refused.
-    """
+    """Closed-form spectral moments of ``noise`` smoothed at bandwidth ``gamma``;
+    inputs whose moments overflow or underflow are refused."""
     _positive(gamma, "gamma")
     try:
         xi = math.hypot(gamma, noise.nu)
-        s2 = noise.sigma**2
+        s2 = noise.sigma * noise.sigma
         return SpectralMoments(
             sigma2=s2 / (2.0 * _SQRT_PI * xi),
             lambda2=s2 / (4.0 * _SQRT_PI * xi**3),
@@ -108,13 +98,25 @@ def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
         ) from None
 
 
-def _cdf_coefficients(m: SpectralMoments):
-    delta = m.delta
-    sigma = math.sqrt(m.sigma2)
-    a_curv = math.sqrt(m.lambda4 / delta)
-    a_mix = math.sqrt(m.lambda2**2 / (delta * m.sigma2))
-    amp = math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
-    return sigma, a_curv, a_mix, amp
+def _law(m: SpectralMoments):
+    """Check ``m``; return the law's ``(sigma, a_curv, a_mix, amp)``."""
+    for name in ("sigma2", "lambda2", "lambda4"):
+        v = getattr(m, name)
+        if not (np.isfinite(v) and v > 0):
+            raise InvalidMomentsError(f"{name} must be positive, got {v!r}")
+    k = math.frexp(m.sigma2)[1] // 2
+    h = (math.frexp(m.lambda4)[1] - 2 * k) // 4
+    s2, l4 = math.ldexp(m.sigma2, -2 * k), math.ldexp(m.lambda4, -2 * (k + 2 * h))
+    # Feasible moments rescale lambda2 below 4: refuse 8 or more before it overflows.
+    e = math.frexp(m.lambda2)[1] - 2 * (k + h)
+    q = math.ldexp(m.lambda2, -2 * (k + h)) ** 2 if e <= 3 else math.inf
+    delta = s2 * l4 - q
+    if not delta > 0:
+        raise InvalidMomentsError("sigma2 * lambda4 - lambda2^2 must be positive")
+    a_curv = math.ldexp(math.sqrt(l4 / delta), -k)
+    a_mix = math.ldexp(math.sqrt(q / (delta * s2)), -k)
+    amp = math.sqrt(2.0 * math.pi * q / (l4 * s2))
+    return math.sqrt(m.sigma2), a_curv, a_mix, amp
 
 
 def peak_height_right_cdf(m: SpectralMoments, u):
@@ -123,23 +125,22 @@ def peak_height_right_cdf(m: SpectralMoments, u):
     Vectorized over ``u``. The result is clamped to [0, 1]; the raw
     expression can stray by up to ~1e-12 from rounding.
     """
-    m.validate()
+    sigma, a_curv, a_mix, amp = _law(m)
     u = np.asarray(u, dtype=float)
-    sigma, a_curv, a_mix, amp = _cdf_coefficients(m)
-    x = u / sigma
-    f = ndtr(-a_curv * u) + amp * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi) * ndtr(
-        a_mix * u
-    )
+    x = np.minimum(np.abs(u) / sigma, 1e154)  # x * x stays finite; exp gives 0 alike
+    phi = amp * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+    f = ndtr(-a_curv * u) + phi * ndtr(a_mix * u)
     out = np.clip(f, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _log_right_cdf(m: SpectralMoments, u: float) -> float:
-    """log F(u), stable far into the upper tail."""
-    sigma, a_curv, a_mix, amp = _cdf_coefficients(m)
+def _log_right_cdf(law, u: float) -> float:
+    """log F(u) for the ``_law`` coefficients, stable far into the upper tail."""
+    sigma, a_curv, a_mix, amp = law
     x = u / sigma
     t1 = log_ndtr(-a_curv * u)
-    t2 = math.log(amp) - 0.5 * x * x - _LOG_SQRT_2PI + log_ndtr(a_mix * u)
+    log_amp = math.log(amp) if amp > 0.0 else -math.inf  # amp underflows with lambda2^2
+    t2 = log_amp - 0.5 * x * x - _LOG_SQRT_2PI + log_ndtr(a_mix * u)
     return min(np.logaddexp(t1, t2), 0.0)
 
 
@@ -154,16 +155,15 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
     absolute one. Comparisons are done on log F, so thresholds deep in
     the tail do not underflow.
     """
-    m.validate()
+    law = _law(m)
     if not (np.isfinite(p) and 0.0 < p < 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
     log_p = math.log(p)
-    sigma = math.sqrt(m.sigma2)
-    lo, hi = (0.0, sigma) if _log_right_cdf(m, 0.0) >= log_p else (-sigma, 0.0)
+    lo, hi = (0.0, law[0]) if _log_right_cdf(law, 0.0) >= log_p else (-law[0], 0.0)
     for _ in range(200):
-        if _log_right_cdf(m, hi) >= log_p:
+        if _log_right_cdf(law, hi) >= log_p:
             hi *= 2.0
-        elif _log_right_cdf(m, lo) < log_p:
+        elif _log_right_cdf(law, lo) < log_p:
             lo *= 2.0
         else:
             break
@@ -172,7 +172,7 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
     # Invariant: F(lo) >= p > F(hi).
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        log_f = _log_right_cdf(m, mid)
+        log_f = _log_right_cdf(law, mid)
         if abs(math.exp(log_f) - p) <= 1e-12 and abs(log_f - log_p) <= 1e-6:
             return mid
         if log_f >= log_p:
@@ -197,6 +197,5 @@ def assign_pvalues(maxima: Candidates, m: SpectralMoments) -> Candidates:
     smallest positive normal float so that downstream procedures always
     see p in (0, 1].
     """
-    m.validate()
     p = np.maximum(peak_height_right_cdf(m, maxima.height), np.finfo(float).tiny)
     return replace(maxima, p_value=p)

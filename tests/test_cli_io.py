@@ -1351,6 +1351,38 @@ class TestCliDetect:
         assert out.exists()
         assert (tmp_path / "rep.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("scale", [1e-60, 1e90])
+    def test_scaled_data_gives_unscaled_rejections(self, tmp_path, capsys, scale):
+        # Each moment of the scaled data is a normal float, though products
+        # of two are not: the default mad run rejects the same maxima.
+        values = np.random.default_rng(0).normal(size=2000)
+        rejected = []
+        for name, v in (("base", values), ("scaled", values * scale)):
+            src = tmp_path / f"{name}.txt"
+            src.write_text("".join(f"{x!r}\n" for x in v.tolist()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["detect", str(src), "--gamma", "3"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            rejected.append([m["index"] for m in report["maxima"] if m["rejected"]])
+        assert rejected[1] == rejected[0] != []
+
+    @pytest.mark.parametrize(
+        "values, flags, code",
+        [
+            ([0.0] * 500 + [1e170] + [0.0] * 499, ["--noise-sigma", "1"], 0),
+            (np.random.default_rng(0).normal(size=1000) * 1e200, ["--moments", "mad"], 3),
+            (np.random.default_rng(0).normal(size=1000) * 1e200, ["--moments", "crossing"], 3),
+        ],
+        ids=["huge height", "mad past the float range", "crossing past the float range"],
+    )
+    def test_huge_values_warn_nothing(self, tmp_path, capsys, values, flags, code):
+        src = tmp_path / "series.txt"
+        src.write_text("".join(f"{x!r}\n" for x in np.asarray(values).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["detect", str(src), "--gamma", "3", *flags]) == code
+
 
 class TestCliSimulate:
     def test_design_config(self, tmp_path, capsys):
@@ -1890,6 +1922,32 @@ class TestCliPvalueTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {named} put the model moments outside the float range\n"
+
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            # Products of two moments overflow (sigma2 * lambda4 = 1e400).
+            ["--sigma2", "1e200", "--lambda2", "1e100", "--lambda4", "1e200"],
+            # kappa^2 = 1e-400 underflows: the mixture term drops out.
+            ["--sigma2", "1", "--lambda2", "1e-200", "--lambda4", "1"],
+            # sigma2 * lambda4 underflows to 0, though each moment is a normal float.
+            ["--gamma", "1e60"],
+        ],
+        ids=["product overflow", "mixture underflow", "product underflow"],
+    )
+    def test_feasible_moments_past_product_range(self, capsys, moments):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["pvalue-table", *moments, "--pvalues", "0.5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        p, u = (float(x) for x in lines[1].split(","))
+        assert lines[0] == "p_value,height" and p == 0.5 and math.isfinite(u)
+
+    def test_huge_height_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["pvalue-table", "--gamma", "3", "--heights", "1e160"]) == 0
+        assert capsys.readouterr().out == "height,p_value\n1e+160,0.0\n"
 
     def test_infeasible_moments_exit_3(self):
         assert (

@@ -245,7 +245,8 @@ class TestDegenerateFlagging:
 
 
 def reference_mad_variance(v):
-    return (MAD_SCALE * np.median(np.abs(v - np.median(v)))) ** 2
+    scale = MAD_SCALE * np.median(np.abs(v - np.median(v)))
+    return scale * scale
 
 
 def reference_upcrossings(v, level):
@@ -272,7 +273,7 @@ def reference_moments(method, x, spacing):
         return sigma2, 0.0, 0.0
     rate = reference_rate(x, sigma2, (x.size - 1) * spacing)
     rate_dx = reference_rate(dx, lambda2_sigma2, (dx.size - 1) * spacing)
-    return sigma2, sigma2 * rate**2, lambda2_sigma2 * rate_dx**2
+    return sigma2, sigma2 * (rate * rate), lambda2_sigma2 * (rate_dx * rate_dx)
 
 
 @st.composite

@@ -59,7 +59,7 @@ class TestGaussianModelMoments:
             assert m.lambda2**2 / (m.sigma2 * m.lambda4) == pytest.approx(
                 1.0 / 3.0, rel=1e-12
             )
-            assert m.delta > 0
+            assert m.sigma2 * m.lambda4 - m.lambda2**2 > 0
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -74,12 +74,12 @@ class TestGaussianModelMoments:
         "sigma, nu, gamma",
         [
             (1.0, 0.0, 1e-300), (1.0, 0.0, 1e300), (1e200, 0.0, 3.0), (1.0, 1e300, 3.0),
-            (1e-200, 0.0, 3.0), (1.0, 0.0, 1e60),
+            (1e-200, 0.0, 3.0),
         ],
     )
     def test_moments_outside_float_range_refused(self, sigma, nu, gamma):
-        # Overflow, division by an underflowed power, zero moments and a
-        # Delta that underflows to 0 all name the three inputs.
+        # Overflow, division by an underflowed power and zero moments all
+        # name the three inputs.
         with pytest.raises(ValueError) as info:
             gaussian_model_moments(NoiseSpec(sigma, nu), gamma)
         assert type(info.value) is ValueError
@@ -87,6 +87,12 @@ class TestGaussianModelMoments:
             f"sigma={sigma!r}, nu={nu!r} and gamma={gamma!r} put the model "
             "moments outside the float range"
         )
+
+    def test_normal_moments_with_underflowing_delta_accepted(self):
+        # sigma2 * lambda4 underflows at gamma 1e60, but each moment is a
+        # normal float, so the law is formed on rescaled moments.
+        m = model_moments(gamma=1e60)
+        assert peak_height_right_cdf(m, 0.0) == pytest.approx(F_AT_ZERO, abs=1e-12)
 
 
 class TestSpectralMoments:
@@ -103,6 +109,8 @@ class TestSpectralMoments:
             (np.nan, 0.5, 1.0),
             (1.0, 1.0, 1.0),  # delta = 0
             (1.0, 2.0, 1.0),  # delta < 0
+            (1.0, 1e200, 1.0),  # lambda2^2 overflows
+            (1e-300, 1e10, 1e-300),  # lambda2 overflows once rescaled
         ],
     )
     def test_validate_rejects(self, triple):

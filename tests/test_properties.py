@@ -16,6 +16,7 @@ search on a block of rows are checked against one-row calls.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from peaksig import (
     DetectionResult,
     DetectorConfig,
     Grid,
+    InvalidMomentsError,
     RunCounts,
     NoiseSpec,
     SampledSeries,
@@ -173,6 +175,64 @@ def test_detect_columns_match_per_candidate_definition(seed, method):
     assert list(zip(*(col.tolist() for col in columns))) == rows
     assert [col.dtype for col in columns] == [np.int64] + [np.float64] * 3 + [np.bool_]
     assert np.flatnonzero(c.rejected).tolist() == sorted(result.decision.rejected_indices)
+
+
+def detect_outcome(series: SampledSeries, config: DetectorConfig):
+    """Heights, p-values and rejections of ``detect``, or ``None`` if the
+    moments are refused; a ``RuntimeWarning`` is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            c = detect(series, config).candidates
+        except InvalidMomentsError:
+            return None
+    return c.height, c.p_value, c.rejected
+
+
+def assert_same_bits(got, want):
+    assert (got is None) == (want is None)
+    for a, b in zip(got or (), want or ()):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**20),
+    st.integers(-400, 400),
+    st.sampled_from(["mad", "var", "crossing", "model"]),
+    st.floats(0.5, 2.0),
+)
+def test_detect_exact_under_power_of_two_data_scaling(seed, k, source, sigma):
+    # Every stage scales exactly by 2^k, and the height law depends on the
+    # moments only through u / sigma and kappa: the p-values keep their bits.
+    series = seeded_series(seed)
+
+    def config(scale):
+        src = NoiseSpec(sigma=scale * sigma) if source == "model" else source
+        return DetectorConfig(gamma=3.0, moments_source=src)
+
+    base = detect_outcome(series, config(1.0))
+    scaled = dataclasses.replace(series, values=np.ldexp(series.values, k))
+    got = detect_outcome(scaled, config(math.ldexp(1.0, k)))
+    assert_same_bits(got, base and (np.ldexp(base[0], k), *base[1:]))
+
+
+# Closed-form model moments are left out: libm's pow forms xi^3 and xi^5,
+# and pow(2^k x, n) and 2^(nk) pow(x, n) can differ in the last bit.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**20),
+    st.integers(-40, 40),
+    st.floats(-1e6, 1e6),
+    st.sampled_from(["mad", "var", "crossing"]),
+)
+def test_detect_exact_under_power_of_two_time_scaling_and_shift(seed, k, origin, source):
+    series = seeded_series(seed)
+    base = detect_outcome(series, DetectorConfig(gamma=3.0, moments_source=source))
+    step = math.ldexp(1.0, k)
+    moved = SampledSeries(series.values, spacing=step, origin=origin)
+    got = detect_outcome(moved, DetectorConfig(gamma=3.0 * step, moments_source=source))
+    assert_same_bits(got, base)
 
 
 def with_candidates(result, candidates: Candidates) -> DetectionResult:
