@@ -35,12 +35,10 @@ import numpy as np
 
 from .detector import DetectionResult
 from .maxima import local_max_indices
-from .model import (
-    NOISE_KERNEL_TRUNCATION, NoiseSpec, SignalSpec, synthesize_noise, synthesize_signal
-)
+from .model import NOISE_KERNEL_TRUNCATION, NoiseSpec, SignalSpec, _peak_train, synthesize_noise
 from .mtp import _METHODS, _check_alpha, reject_rows
 from .nulldist import gaussian_model_moments, peak_height_right_cdf
-from .series import Grid, _positive, _whole
+from .series import Grid, _positions, _positive, _whole
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = [
@@ -157,13 +155,6 @@ def _endpoints(regions: TruthRegions) -> np.ndarray:
     then of the per-peak rejection regions, then of the per-peak supports."""
     rows = (regions.signal_region, regions.rejection_regions, regions.peak_supports)
     return np.ascontiguousarray(np.concatenate(rows).T)
-
-
-def _positions(keys: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lo, hi`` such that closed interval ``[ends[0, ...], ends[1, ...]]``
-    holds ``keys[lo:hi]`` of the ascending ``keys``."""
-    lo = np.searchsorted(keys, ends[0], "left")
-    return lo, np.searchsorted(keys, ends[1], "right")
 
 
 def _tally(
@@ -320,13 +311,15 @@ def _sim_context(config: SimConfig):
     margin = int(np.ceil(4.0 * (config.noise.nu + max(config.gammas)) / delta))
     margin = max(margin, max(k.half_width for k in kernels))
     padded = Grid(grid.length + 2 * margin, delta, grid.origin - margin * delta)
-    signal_values = synthesize_signal(config.signal, padded).values
+    # One time map: window sample i sits at ``grid.times()[i]`` in the signal
+    # and as a candidate, so a closed interval holds the same samples in
+    # both, from the first time at or past its start to the last at or
+    # before its end. A peak's signal lands exactly on its support's cut.
+    times = grid.origin + delta * np.arange(-margin, grid.length + margin)
+    signal_values = _peak_train(config.signal, times)
     moments = [gaussian_model_moments(config.noise, g) for g in config.gammas]
     regions = truth_regions(config.signal, _window(grid))
-    # A candidate's time is ``grid.times()[index]``, so a closed time
-    # interval holds exactly the indices from the first grid time at or
-    # past its start to the last at or before its end.
-    lo, hi = _positions(grid.times(), _endpoints(regions))
+    lo, hi = _positions(times[margin : margin + grid.length], _endpoints(regions))
     cuts = np.stack((lo, hi - 1))
     return margin, padded, signal_values, kernels, moments, regions, cuts
 

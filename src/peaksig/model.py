@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import Grid, SampledSeries, _positive
+from .series import Grid, SampledSeries, _positions, _positive
 from .smoothing import make_gaussian_kernel
 
 __all__ = [
@@ -88,25 +88,26 @@ class NoiseSpec:
             raise ValueError("noise bandwidth nu must be >= 0")
 
 
+def _peak_train(spec: SignalSpec, times: np.ndarray) -> np.ndarray:
+    """The peak train at the ascending ``times``: each peak adds its shape
+    at exactly the times its closed support holds."""
+    values = np.zeros(times.size)
+    taus = np.array([tau for _, tau in spec.peaks])
+    half, b = spec.support_half_width, spec.peak_scale
+    lo, hi = _positions(times, np.array([taus - half, taus + half]))
+    for (a, tau), i, j in zip(spec.peaks, lo, hi):
+        values[i:j] += a / b * np.exp(-0.5 * ((times[i:j] - tau) / b) ** 2) / _SQRT_2PI
+    return values
+
+
 def synthesize_signal(spec: SignalSpec, grid: Grid) -> SampledSeries:
     """Sample the peak train on ``grid``, a :class:`Grid`.
 
-    Each peak contributes ``a / b * phi((t - tau) / b)`` on
-    ``|t - tau| <= c_h * b`` and exactly zero outside.
+    Each peak contributes ``a / b * phi((t - tau) / b)`` at the samples
+    whose ``grid.times()`` lie in ``|t - tau| <= c_h * b``, and exactly
+    zero elsewhere.
     """
-    values = np.zeros(grid.length)
-    half = spec.support_half_width
-    b = spec.peak_scale
-    for a, tau in spec.peaks:
-        lo = int(np.ceil((tau - half - grid.origin) / grid.spacing - 1e-9))
-        hi = int(np.floor((tau + half - grid.origin) / grid.spacing + 1e-9))
-        lo = max(lo, 0)
-        hi = min(hi, grid.length - 1)
-        if hi < lo:
-            continue
-        t = grid.origin + grid.spacing * np.arange(lo, hi + 1)
-        values[lo : hi + 1] += a / b * np.exp(-0.5 * ((t - tau) / b) ** 2) / _SQRT_2PI
-    return SampledSeries(values, grid.spacing, grid.origin)
+    return SampledSeries(_peak_train(spec, grid.times()), grid.spacing, grid.origin)
 
 
 def synthesize_noise(spec: NoiseSpec, grid: Grid, seed: int) -> SampledSeries:

@@ -94,15 +94,32 @@ def _finalize(method: str, sigma2, lambda2, lambda4, diagnostics) -> MomentEstim
     return MomentEstimate(moments, method, False, diagnostics)
 
 
+def _sample_variance(v: np.ndarray) -> float:
+    """``np.var(v, ddof=1)``; inf, not computed, where its sum of squared
+    deviations, at most ``4 n max|v|^2``, could leave the float range."""
+    big = float(np.max(np.abs(v)))
+    return np.var(v, ddof=1) if 4.0 * v.size * big * big < math.inf else math.inf
+
+
+def _quotient(v: np.ndarray, spacing: float):
+    """First difference quotient of ``v``; None, not computed, where a
+    difference or a quotient, at most ``2 max|v| / spacing``, could overflow."""
+    if not 2.0 * float(np.max(np.abs(v))) / float(spacing) < math.inf:
+        return None
+    return np.diff(v) / spacing
+
+
 def _difference_plan(method: str, variance, least: int, series: SampledSeries):
     """``variance`` of the series and of its first two difference quotients,
-    as the three moments; ``least`` is the shortest series accepted."""
+    as the three moments; ``least`` is the shortest series accepted. A
+    quotient past the float range makes its moment, and the estimate, degenerate."""
     if len(series) < least:
         raise ValueError(f"need at least {least} samples")
     x = series.values
-    dx = np.diff(x) / series.spacing
-    ddx = np.diff(dx) / series.spacing
-    return _finalize(method, variance(x), variance(dx), variance(ddx), {"n": len(x)})
+    dx = _quotient(x, series.spacing)
+    ddx = None if dx is None else _quotient(dx, series.spacing)
+    moments = [math.inf if v is None else variance(v) for v in (x, dx, ddx)]
+    return _finalize(method, *moments, {"n": len(x)})
 
 
 def estimate_moments_mad(series: SampledSeries) -> MomentEstimate:
@@ -112,7 +129,7 @@ def estimate_moments_mad(series: SampledSeries) -> MomentEstimate:
 
 def estimate_moments_var(series: SampledSeries) -> MomentEstimate:
     """Sample-variance moments from the series and its differences."""
-    return _difference_plan("var", lambda v: np.var(v, ddof=1), 4, series)
+    return _difference_plan("var", _sample_variance, 4, series)
 
 
 def default_acf_lag_window(gamma: float, spacing: float) -> int:
@@ -188,7 +205,10 @@ def estimate_moments_crossing(series: SampledSeries) -> MomentEstimate:
     if len(series) < 4:
         raise ValueError("need at least 4 samples")
     x = series.values
-    passes = (x, np.diff(x) / series.spacing)
+    dx = _quotient(x, series.spacing)
+    if dx is None:
+        return _finalize("crossing", mad_variance(x), math.inf, math.inf, {"n": x.size})
+    passes = (x, dx)
     variances = [mad_variance(v) for v in passes]
     if 0.0 in variances:
         return _finalize("crossing", variances[0], 0.0, 0.0, {"n": x.size, "counts": (0, 0, 0)})

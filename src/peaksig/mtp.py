@@ -88,6 +88,8 @@ def reject_rows(method: str, p: np.ndarray, sizes, alpha: float):
     ``p <= alpha k / m``: exactly the ``k`` smallest, since a later
     p-value under that bound would pass the step-up test itself.
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     sizes = np.asarray(sizes, dtype=np.int64)
     row = np.repeat(np.arange(sizes.size), sizes)
     if method == "bonferroni":

@@ -126,8 +126,10 @@ def peak_height_right_cdf(m: SpectralMoments, u):
     expression can stray by up to ~1e-12 from rounding.
     """
     sigma, a_curv, a_mix, amp = _law(m)
-    u = np.asarray(u, dtype=float)
-    x = np.minimum(np.abs(u) / sigma, 1e154)  # x * x stays finite; exp gives 0 alike
+    # Past 1e100 sigma the law reads exactly 0 or 1 (a_curv sigma >= 1); the
+    # clip keeps x * x and the ndtr arguments finite.
+    u = np.clip(np.asarray(u, dtype=float), -1e100 * sigma, 1e100 * sigma)
+    x = np.abs(u) / sigma
     phi = amp * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
     f = ndtr(-a_curv * u) + phi * ndtr(a_mix * u)
     out = np.clip(f, 0.0, 1.0)

@@ -27,6 +27,13 @@ def _positive(value, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite")
 
 
+def _positions(keys: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lo, hi`` such that closed interval ``[ends[0, ...], ends[1, ...]]``
+    holds ``keys[lo:hi]`` of the ascending ``keys``."""
+    lo = np.searchsorted(keys, ends[0], "left")
+    return lo, np.searchsorted(keys, ends[1], "right")
+
+
 def _check_times(what: str, spacing, origin, length: int) -> None:
     """Refuse a ``what`` of ``length`` samples whose times are not all finite."""
     _positive(spacing, f"{what} spacing")

@@ -104,7 +104,13 @@ def make_gaussian_kernel(
     half_width = _half_width(gamma, truncation, spacing)
     offsets = spacing * np.arange(-half_width, half_width + 1)
     weights = np.exp(-0.5 * (offsets / gamma) ** 2) / (gamma * _SQRT_2PI)
-    weights /= weights.sum() * spacing
+    mass = float(weights.sum()) * float(spacing)  # a float product overflows silently
+    if not 0.0 < mass < math.inf:
+        raise ValueError(
+            f"kernel bandwidth {gamma!r} and spacing {spacing!r} give kernel "
+            "weights that cannot be normalized"
+        )
+    weights /= mass
     return Kernel(
         weights=weights,
         spacing=spacing,

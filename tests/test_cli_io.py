@@ -1275,6 +1275,22 @@ class TestCliDetect:
             "error: kernel bandwidth 1e-320 is too small: its peak density overflows\n"
         )
 
+    @pytest.mark.parametrize("command", [
+        ["detect", "--moments", "mad"], ["estimate-moments", "--estimator", "mad"],
+    ])
+    def test_unnormalizable_kernel_refused_by_name(self, tmp_path, capsys, command):
+        # The kernel's one weight, 4e299, times the spacing overflows.
+        src = tmp_path / "series.txt"
+        write_noise_file(src)
+        argv = [command[0], str(src), "--gamma", "1e-300", "--spacing", "1e10", *command[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: kernel bandwidth 1e-300 and spacing 10000000000.0 give kernel "
+            "weights that cannot be normalized\n"
+        )
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.txt"), "--gamma", "3"]) == 2
 
@@ -1373,8 +1389,12 @@ class TestCliDetect:
             ([0.0] * 500 + [1e170] + [0.0] * 499, ["--noise-sigma", "1"], 0),
             (np.random.default_rng(0).normal(size=1000) * 1e200, ["--moments", "mad"], 3),
             (np.random.default_rng(0).normal(size=1000) * 1e200, ["--moments", "crossing"], 3),
+            (np.random.default_rng(0).normal(size=1000) * 1e200, ["--moments", "var"], 3),
+            (np.random.default_rng(0).normal(size=1000),
+             ["--moments", "mad", "--spacing", "1e-200", "--gamma", "1e-200"], 3),
         ],
-        ids=["huge height", "mad past the float range", "crossing past the float range"],
+        ids=["huge height", "mad past the float range", "crossing past the float range",
+             "var past the float range", "quotients past the float range"],
     )
     def test_huge_values_warn_nothing(self, tmp_path, capsys, values, flags, code):
         src = tmp_path / "series.txt"
@@ -1946,8 +1966,8 @@ class TestCliPvalueTable:
     def test_huge_height_warns_nothing(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["pvalue-table", "--gamma", "3", "--heights", "1e160"]) == 0
-        assert capsys.readouterr().out == "height,p_value\n1e+160,0.0\n"
+            assert main(["pvalue-table", "--gamma", "3", "--heights=1e160,-1e308,1e308"]) == 0
+        assert capsys.readouterr().out == "height,p_value\n1e+160,0.0\n-1e+308,1.0\n1e+308,0.0\n"
 
     def test_infeasible_moments_exit_3(self):
         assert (

@@ -1,6 +1,7 @@
 """Tests for spectral-moment estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,16 @@ class TestDegenerateFlagging:
             est = fn(s, 5) if name == "acf" else fn(s)
             assert est.degenerate, name
             assert est.method == name
+
+    @pytest.mark.parametrize("name", ["mad", "var", "crossing"])
+    @pytest.mark.parametrize("scale, spacing", [(1e200, 1.0), (1.0, 1e-200), (1e10, 1e-300)])
+    def test_past_the_float_range_flagged_without_warning(self, name, scale, spacing):
+        # Squares of 1e200, or quotients by 1e-200 or 1e-300, leave the float range.
+        v = np.random.default_rng(3).normal(size=200) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = ESTIMATORS[name](SampledSeries(v, spacing))
+        assert est.degenerate
 
     def test_clean_noise_not_flagged(self):
         s = smoothed_noise(50_000, seed=27)

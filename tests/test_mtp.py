@@ -15,6 +15,7 @@ from peaksig import (
     gaussian_model_moments,
     peak_height_right_cdf,
 )
+from peaksig.mtp import reject_rows
 
 
 def bh_bruteforce(p_values, alpha):
@@ -139,6 +140,13 @@ class TestBh:
     def test_ties_at_boundary_rejected_together(self):
         d = bh([0.03, 0.03, 0.9], alpha=0.05)
         assert set(d.rejected_indices) == {0, 1}
+
+
+class TestRejectRows:
+    def test_unknown_method_refused(self):
+        # Any name but "bonferroni" once took the BH branch.
+        with pytest.raises(ValueError, match="^unknown method 'holm'$"):
+            reject_rows("holm", np.array([0.01, 0.5]), [2], 0.05)
 
 
 class TestDeterministicThreshold:

@@ -11,7 +11,9 @@ one-family Bonferroni and BH it replaced, and BH also against the
 textbook step-up loop. The height cdf and the smoother are checked
 against their defining properties; the smoother is also checked
 against its two-convolution definition. The smoother and the maxima
-search on a block of rows are checked against one-row calls.
+search on a block of rows are checked against one-row calls. The
+synthetic signal, alone and in the harness, is checked to land on
+exactly the samples that the tally's closed intervals hold.
 """
 
 import dataclasses
@@ -42,10 +44,12 @@ from peaksig import (
     make_gaussian_kernel,
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
+    standard_design,
     synthesize_noise,
     synthesize_signal,
     truth_regions,
 )
+from peaksig import evaluation, series
 from peaksig.evaluation import _endpoints, _positions, _tally
 from peaksig.io import _read_plain_lines
 from peaksig.mtp import MtpDecision, _height_threshold, bh, bonferroni, reject_rows
@@ -368,6 +372,50 @@ def test_classify_matches_per_peak_loop(layout, data):
     want = classify_reference([t for t, _ in pairs], [r for _, r in pairs], regions)
     # Unsorted candidates through the public entry point.
     assert classify(with_candidates(BASE, pairs_table(pairs)), regions) == want
+
+
+# Grids whose times are not exact in binary, with supports whose edges
+# fall on, near or between the grid times.
+odd_spacings = st.sampled_from([0.1, 1.0 / 3.0, 0.7])
+steps = st.sampled_from([1.0 / 3.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    odd_spacings,
+    st.integers(-40, 40).map(lambda k: k / 3.0),
+    st.lists(st.tuples(st.integers(-5, 65), st.sampled_from([0.0, 0.5, 1.0 / 3.0])),
+             min_size=1, max_size=4),
+    steps,
+    st.sampled_from([1.0, 2.0, 2.5]),
+)
+def test_signal_lands_exactly_on_closed_supports(spacing, shift, centers, scale, truncation):
+    grid = Grid(60, spacing, shift * spacing)
+    taus = [grid.origin + (k + f) * spacing for k, f in centers]
+    # Amplitudes large enough that no in-support sample underflows.
+    spec = SignalSpec(tuple((10.0, tau) for tau in taus), scale * spacing, truncation)
+    half = spec.support_half_width
+    supports = np.array([[tau - half for tau in taus], [tau + half for tau in taus]])
+    want = np.zeros(grid.length, dtype=bool)
+    for lo, hi in zip(*series._positions(grid.times(), supports)):
+        want[lo:hi] = True
+    assert np.array_equal(synthesize_signal(spec, grid).values != 0, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_spacings, st.integers(1, 3), steps, st.integers(3, 48))
+def test_harness_signal_lands_exactly_on_support_cuts(spacing, peaks, scale, sixths):
+    # Peaks 1/2 to 8 support widths apart, so the window holds them all.
+    width = 4.0 * scale * spacing
+    config = standard_design(
+        num_peaks=peaks, peak_spacing=width * sixths / 6.0, peak_scale=scale * spacing,
+        spacing=spacing, gammas=(0.5 * spacing,),
+    )
+    margin, _, signal, _, _, regions, cuts = evaluation._sim_context(config)
+    want = np.zeros(config.grid.length, dtype=bool)
+    for lo, last in cuts[:, -regions.num_peaks :].T:
+        want[lo : last + 1] = True
+    assert np.array_equal(signal[margin : margin + config.grid.length] != 0, want)
 
 
 # Moments at scale sigma (height) and ell (time), with irregularity

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ class TestMakeGaussianKernel:
         with pytest.raises(ValueError, match=message):
             make_gaussian_kernel(1e-320)
         assert make_gaussian_kernel(2.22e-309).weights.tolist() == [1.0]
+
+    def test_unnormalizable_weights_refused_by_name(self):
+        # One tap of density 4e299 on a spacing of 1e10 holds a mass past
+        # the float range, so the weights cannot be divided by it.
+        message = "kernel bandwidth 1e-300 and spacing 10000000000.0 give kernel weights"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                make_gaussian_kernel(1e-300, 4.0, 1e10)
 
 
 class TestConvolve:
