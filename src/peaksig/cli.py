@@ -391,9 +391,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.estimator == "acf" and args.gamma is None:
         raise ValueError("the acf estimator needs --gamma")
+    # detect's settings, checked before the input is read, then its smoothing
+    config = args.gamma is not None and DetectorConfig(args.gamma, moments_source=args.estimator)
     series = _series(args)
-    if args.gamma is not None:
-        series, _ = _smooth(series, args.gamma)
+    if config:
+        series, _ = _smooth(series, config)
     estimate = estimate_smoothed_moments(series, args.estimator, args.gamma)
     payload = {
         "estimator": estimate.method,
@@ -405,8 +407,7 @@ def _cmd_estimate(args) -> int:
     }
     write_json(payload, args.output or sys.stdout)
     if estimate.degenerate:
-        print("error: degenerate moment estimate", file=sys.stderr)
-        return 3
+        raise InvalidMomentsError("degenerate moment estimate")
     return 0
 
 

@@ -12,6 +12,7 @@ maxima search to the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from .nulldist import (
     assign_pvalues,
     gaussian_model_moments,
 )
-from .series import SampledSeries, _positive
+from .series import SampledSeries, _open_unit, _positive
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = ["DetectorConfig", "DetectionResult", "detect", "estimate_smoothed_moments"]
@@ -61,7 +62,7 @@ class DetectorConfig:
     def __post_init__(self):
         _positive(self.gamma, "gamma")
         _positive(self.kernel_truncation, "kernel truncation")
-        mtp._check_alpha(self.alpha)
+        _open_unit(self.alpha, "alpha")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         src = self.moments_source
@@ -97,14 +98,38 @@ class DetectionResult:
             raise ValueError("detection candidates need p-value and rejection columns")
 
 
-def _smooth(series, gamma, truncation=DEFAULT_KERNEL_TRUNCATION):
-    """``series`` smoothed by the Gaussian kernel of bandwidth ``gamma``,
-    its ``boundary`` the kernel's half-width, and the kernel. A series too
-    short for the kernel is refused before any weight is computed."""
-    if not kernel_fits(len(series), gamma, truncation, series.spacing):
+def _center(values: np.ndarray) -> np.ndarray:
+    """``values`` minus their mean. Where the sum, at most ``n max|x|`` up to
+    rounding, could overflow, the mean is taken on ``values`` scaled by
+    ``2^-k`` with ``2^k > n`` and scaled back: exact, so it is the plain mean
+    wherever that is finite. A value that the subtraction would push past the
+    float range is refused."""
+    hi, lo = float(values.max()), float(values.min())
+    if 2.0 * values.size * max(hi, -lo) < math.inf:
+        mean = float(values.mean())
+    else:
+        scale = 2.0 ** values.size.bit_length()
+        mean = float((values / scale).mean()) * scale
+    if not (math.isfinite(hi - mean) and math.isfinite(lo - mean)):
+        raise ValueError("series values lie too far apart to be centered within the float range")
+    return values - mean
+
+
+def _smooth(series, config: DetectorConfig):
+    """``series``, centered if ``config.subtract_mean``, smoothed at ``config.gamma``,
+    its ``boundary`` the kernel's half-width, and the kernel. A series too short
+    for the kernel is refused before any weight is computed; finite values
+    smoothed past the float range, by name."""
+    values = _center(series.values) if config.subtract_mean else series.values
+    if not kernel_fits(len(series), config.gamma, config.kernel_truncation, series.spacing):
         raise ValueError("series too short for the requested kernel")
-    kernel = make_gaussian_kernel(gamma, truncation, series.spacing)
-    values = convolve(series.values, kernel)
+    kernel = make_gaussian_kernel(config.gamma, config.kernel_truncation, series.spacing)
+    values = convolve(values, kernel)
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"smoothing at bandwidth {config.gamma!r} and spacing {series.spacing!r} "
+            "takes the series past the float range"
+        )
     smoothed = SampledSeries(values, series.spacing, series.origin, kernel.half_width)
     return smoothed, kernel
 
@@ -143,9 +168,7 @@ def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:
 
 def detect(series: SampledSeries, config: DetectorConfig) -> DetectionResult:
     """Run the detection pipeline on a raw series."""
-    if config.subtract_mean:
-        series = replace(series, values=series.values - series.values.mean())
-    smoothed, kernel = _smooth(series, config.gamma, config.kernel_truncation)
+    smoothed, kernel = _smooth(series, config)
     warnings: tuple[str, ...] = ()
     if kernel.aliased:
         warnings = (

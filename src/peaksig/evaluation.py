@@ -36,9 +36,9 @@ import numpy as np
 from .detector import DetectionResult
 from .maxima import local_max_indices
 from .model import NOISE_KERNEL_TRUNCATION, NoiseSpec, SignalSpec, _peak_train, synthesize_noise
-from .mtp import _METHODS, _check_alpha, reject_rows
+from .mtp import _METHODS, reject_rows
 from .nulldist import gaussian_model_moments, peak_height_right_cdf
-from .series import Grid, _positions, _positive, _whole
+from .series import Grid, _open_unit, _positions, _positive, _whole
 from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_gaussian_kernel
 
 __all__ = [
@@ -232,7 +232,7 @@ class SimConfig:
             raise ValueError("gammas must be nonempty")
         for g in self.gammas:
             _positive(g, "gammas")
-        _check_alpha(self.alpha)
+        _open_unit(self.alpha, "alpha")
         if not self.methods or any(m not in _METHODS for m in self.methods):
             raise ValueError(f"methods must be drawn from {', '.join(map(repr, _METHODS))}")
         for name, least in (("replications", 1), ("workers", 1), ("base_seed", 0)):

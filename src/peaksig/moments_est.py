@@ -68,12 +68,22 @@ class MomentEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _halved(v: np.ndarray):
+    """``(v, 1.0)``, or ``(v / 2, 2.0)`` where ``2 max|v|`` overflows, so that a
+    median's mean of two values and the deviations from it cannot. Halving is
+    exact: a spread of the result times the factor is the spread of ``v``."""
+    if 2.0 * float(max(v.max(), -v.min())) < math.inf:
+        return v, 1.0
+    return v / 2.0, 2.0
+
+
 def mad_variance(values: np.ndarray) -> float:
     """Squared scaled median absolute deviation of ``values``."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("values are empty")
-    scale = MAD_SCALE * float(np.median(np.abs(v - np.median(v))))
+    v, factor = _halved(v)
+    scale = factor * MAD_SCALE * float(np.median(np.abs(v - np.median(v))))
     # A product, not a power: libm's pow can round 2^k x and x differently,
     # and a float product overflows to inf without a warning.
     return scale * scale
@@ -217,7 +227,8 @@ def estimate_moments_crossing(series: SampledSeries) -> MomentEstimate:
         # Crossing levels are offsets from the center, so remove the median
         # first; this is what keeps the estimate translation-invariant.
         duration = (v.size - 1) * series.spacing
-        rate, c = _crossing_rate(v - np.median(v), math.sqrt(variance), duration)
+        v, factor = _halved(v)
+        rate, c = _crossing_rate(v - np.median(v), math.sqrt(variance) / factor, duration)
         moments.append(variance * (rate * rate))  # a product, as in mad_variance
         counts.append(c)
     sigma2 = variances[0]

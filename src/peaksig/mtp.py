@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulldist import SpectralMoments, expected_num_maxima, peak_height_right_cdf_inverse
-from .series import _positive
+from .series import _open_unit, _positive
 
 __all__ = [
     "MtpDecision",
@@ -51,11 +51,6 @@ class MtpDecision:
     p_threshold: float
     height_threshold: float | None
     rejected_indices: tuple[int, ...]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 def _check_pvalues(p_values) -> np.ndarray:
@@ -112,7 +107,7 @@ def reject_rows(method: str, p: np.ndarray, sizes, alpha: float):
 
 def _decide(method: str, p_values, alpha: float, moments) -> MtpDecision:
     """The one-row case of :func:`reject_rows` as an :class:`MtpDecision`."""
-    _check_alpha(alpha)
+    _open_unit(alpha, "alpha")
     p = _check_pvalues(p_values)
     threshold, mask = reject_rows(method, p, [p.size], alpha)
     rejected = np.flatnonzero(mask)
@@ -161,7 +156,7 @@ def bonferroni_deterministic_threshold(
     Uses the expected candidate count instead of the observed one, so
     the threshold is a deterministic function of the model.
     """
-    _check_alpha(alpha)
+    _open_unit(alpha, "alpha")
     expected = expected_num_maxima(m, length)
     p = alpha / expected
     if p >= 1.0:
@@ -181,7 +176,7 @@ def bonferroni_approx_threshold(
     valid when the logarithm's argument exceeds 1. Overshoots the exact
     deterministic threshold by a few percent at moderate lengths.
     """
-    _check_alpha(alpha)
+    _open_unit(alpha, "alpha")
     m.validate()
     _positive(length, "length")
     arg = (length / alpha) * math.sqrt(m.lambda2 / (2.0 * math.pi * m.sigma2))
@@ -204,7 +199,7 @@ def asymptotic_bh_threshold(
 
         F(u) = alpha * A1 / (A1 + E[#null maxima per unit length] (1 - alpha)).
     """
-    _check_alpha(alpha)
+    _open_unit(alpha, "alpha")
     null_rate = expected_num_maxima(m, 1.0)
     _positive(signal_density, "signal density")
     target = alpha * signal_density / (signal_density + null_rate * (1.0 - alpha))

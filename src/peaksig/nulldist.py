@@ -43,7 +43,7 @@ import numpy as np
 from ._normal import log_ndtr, ndtr
 from .maxima import Candidates
 from .model import NoiseSpec
-from .series import _positive
+from .series import _open_unit, _positive
 
 __all__ = [
     "InvalidMomentsError",
@@ -158,8 +158,7 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
     the tail do not underflow.
     """
     law = _law(m)
-    if not (np.isfinite(p) and 0.0 < p < 1.0):
-        raise ValueError("p must lie strictly between 0 and 1")
+    _open_unit(p, "p")
     log_p = math.log(p)
     lo, hi = (0.0, law[0]) if _log_right_cdf(law, 0.0) >= log_p else (-law[0], 0.0)
     for _ in range(200):

@@ -27,6 +27,12 @@ def _positive(value, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite")
 
 
+def _open_unit(value, what: str) -> None:
+    """Refuse ``value``, named ``what`` in the error, unless 0 < ``value`` < 1."""
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise ValueError(f"{what} must lie strictly between 0 and 1")
+
+
 def _positions(keys: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``lo, hi`` such that closed interval ``[ends[0, ...], ends[1, ...]]``
     holds ``keys[lo:hi]`` of the ascending ``keys``."""

@@ -1291,6 +1291,48 @@ class TestCliDetect:
             "weights that cannot be normalized\n"
         )
 
+    @pytest.mark.parametrize("command", [
+        ["detect", "--moments", "mad"], ["estimate-moments", "--estimator", "mad"],
+    ])
+    def test_smoothing_overflow_refused_by_name(self, tmp_path, capsys, command):
+        # Values near 1e10 are finite; kernel weights near 1e300 smooth them
+        # past the float range.
+        src = tmp_path / "series.txt"
+        values = 1e10 * np.random.default_rng(0).normal(size=2000)
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        argv = [command[0], str(src), "--gamma", "1e-300", "--spacing", "1e-300", *command[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: smoothing at bandwidth 1e-300 and spacing 1e-300 "
+            "takes the series past the float range\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["detect", "--gamma", "3", "--noise-sigma", "1"], 0),
+            (["detect", "--gamma", "3", "--moments", "mad"], 3),
+            (["detect", "--gamma", "3", "--no-subtract-mean", "--moments", "mad"], 3),
+            (["estimate-moments"], 3),
+            (["estimate-moments", "--estimator", "crossing"], 3),
+            (["estimate-moments", "--gamma", "3"], 3),
+        ],
+    )
+    def test_values_near_the_float_range(self, tmp_path, capsys, command, code):
+        # 1.5e308 + 1e306 N(0, 1): the sum and a median's two-value mean
+        # overflow unless taken on scaled values; the mad variance then
+        # leaves the float range, a degenerate estimate.
+        src = tmp_path / "series.txt"
+        values = 1.5e308 + 1e306 * np.random.default_rng(1).normal(size=2000)
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command[0], str(src), *command[1:]]) == code
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.txt"), "--gamma", "3"]) == 2
 
@@ -1791,8 +1833,44 @@ class TestCliEstimateMoments:
         src.write_text("5.0\n" * 50)
         code = main(["estimate-moments", str(src), "--estimator", "mad"])
         assert code == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["degenerate"] is True
+        out, err = capsys.readouterr()
+        assert json.loads(out)["degenerate"] is True
+        assert err == "error: degenerate moment estimate\n"
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(60, 300),
+        offset=st.floats(-1e6, 1e6),
+        scale=st.floats(1e-3, 1e3),
+        gamma=st.sampled_from(["1.5", "3"]),
+        estimator=st.sampled_from(["mad", "var", "crossing"]),
+    )
+    def test_moments_equal_detect_report(
+        self, tmp_path, capsys, seed, n, offset, scale, gamma, estimator
+    ):
+        # With --gamma the command runs detect's own centering, smoothing
+        # and estimate, so it prints the moments detect uses, bit for bit.
+        src = tmp_path / "series.txt"
+        values = offset + scale * np.random.default_rng(seed).normal(size=n)
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        code = main(["estimate-moments", str(src), "--gamma", gamma, "--estimator", estimator])
+        printed = json.loads(capsys.readouterr().out)["moments"]
+        assert main(["detect", str(src), "--gamma", gamma, "--moments", estimator]) == code
+        report = capsys.readouterr().out
+        if code == 0:
+            assert json.loads(report)["moments"] == printed
+
+    @pytest.mark.parametrize("gamma", ["-1", "0", "inf", "nan"])
+    def test_bad_gamma_refused_before_input(self, tmp_path, capsys, monkeypatch, gamma):
+        # detect's settings, with its wording, before the input is read.
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["estimate-moments", str(tmp_path / "nope.txt"), "--gamma", gamma]) == 1
+        assert capsys.readouterr().err == "error: gamma must be positive and finite\n"
 
     def test_var_on_three_interior_samples(self, tmp_path, capsys):
         # 27 samples smoothed at gamma 3 (half-width 12) leave 3 interior ones.

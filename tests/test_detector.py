@@ -1,6 +1,7 @@
 """Tests for the end-to-end detection pipeline."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from peaksig import (
     synthesize_noise,
     synthesize_signal,
 )
+from peaksig.detector import _center
 
 
 def noise_series(n, seed, sigma=1.0, nu=0.0):
@@ -133,6 +135,23 @@ class TestInvariances:
         assert a.candidates.index.tolist() == b.candidates.index.tolist()
         assert a.decision.rejected_indices == b.decision.rejected_indices
         assert b.candidates.p_value == pytest.approx(a.candidates.p_value, rel=1e-9)
+
+    def test_centering_near_the_float_range(self):
+        # 2000 values near 1.35e308 sum past the float range: the mean is
+        # taken on values scaled by a power of two, which moves no bit.
+        values = 1.5 + 0.01 * noise_series(2000, seed=8).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            big = _center(values * 2.0**1023)
+        assert big.tobytes() == (_center(values) * 2.0**1023).tobytes()
+        assert _center(values).tobytes() == (values - values.mean()).tobytes()
+
+    def test_centering_past_the_float_range_refused(self):
+        series = SampledSeries([-1.7e308, 1.7e308, 1.7e308] * 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="too far apart to be centered"):
+                detect(series, KNOWN)
 
     def test_bonferroni_rejections_within_bh(self):
         rng = np.random.default_rng(7)

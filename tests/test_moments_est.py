@@ -1,5 +1,6 @@
 """Tests for spectral-moment estimation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -55,6 +56,15 @@ class TestMadVariance:
         rng = np.random.default_rng(5)
         v = rng.normal(0.0, 1.7, size=1_000_000)
         assert mad_variance(v) == pytest.approx(1.7**2, rel=0.01)
+
+    def test_halved_where_twice_the_largest_overflows(self):
+        # The mean of the two middle values, and the deviations, would
+        # overflow: they are taken on the halved values, exactly.
+        v = np.array([1.7e308, 1.7e308, 1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert mad_variance(v) == 0.0
+            assert mad_variance(np.array([1.6e308, 1.6e308, 1.7e308, 1.7e308])) == math.inf
 
     def test_scale_constant(self):
         assert MAD_SCALE == pytest.approx(1.0 / ndtri(0.75), rel=1e-15)
@@ -171,6 +181,19 @@ class TestCrossing:
         est = estimate_moments_crossing(SampledSeries([2.0, 2.0, 2.0, 2.0]))
         assert est.degenerate
         assert est.moments.sigma2 == 0.0
+
+    def test_differences_near_the_float_range(self):
+        # Differences of 0.95e308, -0.95e308 and 0.94e308: -0.95e308 less
+        # the median overflows, so medians and levels are taken on halves.
+        x = np.array([-0.475e308, 0.475e308, -0.475e308, 0.465e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = estimate_moments_crossing(SampledSeries(x))
+        quarter = estimate_moments_crossing(SampledSeries(x / 4.0))
+        assert est.diagnostics["counts_diff"] == quarter.diagnostics["counts_diff"]
+        assert dataclasses.astuple(est.moments) == tuple(
+            16.0 * m for m in dataclasses.astuple(quarter.moments)
+        )
 
     def test_too_short(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,14 @@ from peaksig import (
     SignalSpec,
     SpectralMoments,
     asymptotic_bh_threshold,
+    bh,
+    bonferroni,
     bonferroni_approx_threshold,
     expected_num_maxima,
     gaussian_model_moments,
     make_gaussian_kernel,
     optimal_gamma,
+    peak_height_right_cdf_inverse,
     standard_design,
 )
 
@@ -49,6 +52,25 @@ SCALES = [
 @pytest.mark.parametrize("what, build", SCALES, ids=[f"{i}-{w.replace(' ', '_')}" for i, (w, _) in enumerate(SCALES)])
 def test_scale_must_be_positive_and_finite(what, build, value):
     with pytest.raises(ValueError, match=f"^{what} must be positive and finite$"):
+        build(value)
+
+
+# Every setting that must lie in (0, 1), by the name its error gives, and a
+# call that sets it to v.
+FRACTIONS = [
+    ("alpha", lambda v: DetectorConfig(gamma=3.0, alpha=v)),
+    ("alpha", lambda v: standard_design(alpha=v)),
+    ("alpha", lambda v: bonferroni([0.5], v)),
+    ("alpha", lambda v: bh([0.5], v)),
+    ("alpha", lambda v: bonferroni_approx_threshold(MOMENTS, 10.0, v)),
+    ("p", lambda v: peak_height_right_cdf_inverse(MOMENTS, v)),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 1.5, np.nan, np.inf])
+@pytest.mark.parametrize("what, build", FRACTIONS, ids=[f"{i}-{w}" for i, (w, _) in enumerate(FRACTIONS)])
+def test_fraction_must_lie_strictly_between_0_and_1(what, build, value):
+    with pytest.raises(ValueError, match=f"^{what} must lie strictly between 0 and 1$"):
         build(value)
 
 

@@ -14,7 +14,7 @@ from peaksig import (
     make_gaussian_kernel,
     synthesize_signal,
 )
-from peaksig.detector import _smooth
+from peaksig.detector import DetectorConfig, _smooth
 from peaksig.smoothing import kernel_fits
 
 
@@ -120,7 +120,7 @@ class TestConvolve:
         assert convolve(np.zeros(50), k).shape == (50,)
         assert convolve(np.zeros((3, 50)), k).shape == (3, 50)
         # detect's smoother marks the renormalized zone on the series.
-        out, kernel = _smooth(SampledSeries(np.zeros(50), 0.5, origin=3.0), 1.0)
+        out, kernel = _smooth(SampledSeries(np.zeros(50), 0.5, origin=3.0), DetectorConfig(1.0))
         assert (kernel.half_width, kernel.spacing) == (8, 0.5)
         assert out.boundary == kernel.half_width
         assert len(out) == 50
