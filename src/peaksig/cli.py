@@ -425,7 +425,6 @@ def _cmd_pvalue_table(args) -> int:
             "closed-form model (--gamma with optional --sigma/--nu)"
         )
     moments = _resolve_moments(source or NoiseSpec(), args.gamma)
-    moments.validate()
     if args.num is not None and (args.hmin is None or args.hmax is None):
         raise ValueError("--num needs --min and --max")
     if args.pvalues is not None:

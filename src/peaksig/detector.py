@@ -73,8 +73,8 @@ class DetectorConfig:
                 "moments_source must be a SpectralMoments, NoiseSpec, "
                 "or estimator name"
             )
-        elif isinstance(src, NoiseSpec):  # refused before any input is read
-            gaussian_model_moments(src, self.gamma)
+        elif not isinstance(src, str):  # refused before any input is read
+            _resolve_moments(src, self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +154,10 @@ def estimate_smoothed_moments(
 
 
 def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:
-    """The null moments a ``moments_source`` gives at bandwidth ``gamma``; an
-    estimator name reads them off ``smoothed`` (degenerate: ``InvalidMomentsError``)."""
+    """The validated null moments a ``moments_source`` gives at bandwidth ``gamma``;
+    an estimator name reads them off ``smoothed`` (degenerate: ``InvalidMomentsError``)."""
     if isinstance(source, SpectralMoments):
-        return source
+        return source.validate()
     if isinstance(source, NoiseSpec):
         return gaussian_model_moments(source, gamma)
     est = estimate_smoothed_moments(smoothed, source, gamma)

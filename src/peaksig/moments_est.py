@@ -105,10 +105,13 @@ def _finalize(method: str, sigma2, lambda2, lambda4, diagnostics) -> MomentEstim
 
 
 def _sample_variance(v: np.ndarray) -> float:
-    """``np.var(v, ddof=1)``; inf, not computed, where its sum of squared
-    deviations, at most ``4 n max|v|^2``, could leave the float range."""
-    big = float(np.max(np.abs(v)))
-    return np.var(v, ddof=1) if 4.0 * v.size * big * big < math.inf else math.inf
+    """``np.var(v, ddof=1)`` on ``v`` scaled by ``2^-e`` into [-1, 1], scaled back by
+    ``4^e``: exact, so power-of-two units move no bit; inf where it overflows."""
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    try:
+        return math.ldexp(float(np.var(np.ldexp(v, -e), ddof=1)), 2 * e)
+    except OverflowError:
+        return math.inf
 
 
 def _quotient(v: np.ndarray, spacing: float):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulldist import SpectralMoments, expected_num_maxima, peak_height_right_cdf_inverse
+from .nulldist import SpectralMoments, _law, expected_num_maxima, peak_height_right_cdf_inverse
 from .series import _open_unit, _positive
 
 __all__ = [
@@ -177,15 +177,15 @@ def bonferroni_approx_threshold(
     deterministic threshold by a few percent at moderate lengths.
     """
     _open_unit(alpha, "alpha")
-    m.validate()
+    sigma, *_, rate = _law(m)
     _positive(length, "length")
-    arg = (length / alpha) * math.sqrt(m.lambda2 / (2.0 * math.pi * m.sigma2))
-    if arg <= 1.0:
+    log_arg = math.log(length) - math.log(alpha) + math.log(rate) - 0.5 * math.log(2.0 * math.pi)
+    if not log_arg > 0.0:
         raise ValueError(
             "approximation domain error: (L/alpha) sqrt(lambda2/(2 pi sigma2)) "
             "must exceed 1"
         )
-    return math.sqrt(m.sigma2) * math.sqrt(2.0 * math.log(arg))
+    return sigma * math.sqrt(2.0 * log_arg)
 
 
 def asymptotic_bh_threshold(

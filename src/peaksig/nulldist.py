@@ -67,8 +67,8 @@ class InvalidMomentsError(ValueError):
 class SpectralMoments:
     """Variances of a stationary process and its first two derivatives.
 
-    Validity (all positive, ``sigma2 * lambda4 > lambda2^2``) is checked
-    where the values are consumed, so estimated moments can be inspected."""
+    Validity (positive normal floats, ``sigma2 * lambda4 > lambda2^2``) is
+    checked wherever the values are read, so estimated moments can be inspected."""
 
     sigma2: float
     lambda2: float
@@ -99,11 +99,12 @@ def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
 
 
 def _law(m: SpectralMoments):
-    """Check ``m``; return the law's ``(sigma, a_curv, a_mix, amp)``."""
-    for name in ("sigma2", "lambda2", "lambda4"):
-        v = getattr(m, name)
-        if not (np.isfinite(v) and v > 0):
-            raise InvalidMomentsError(f"{name} must be positive, got {v!r}")
+    """Check ``m``: each moment a positive normal float, and ``Delta > 0``. Return the
+    law's ``(sigma, a_curv, a_mix, amp)`` and the Rice rates ``sqrt(lambda4 / lambda2)``,
+    ``sqrt(lambda2 / sigma2)``, as quotients of roots: finite where the true rates are."""
+    for name, v in vars(m).items():
+        if not np.finfo(float).tiny <= v < math.inf:
+            raise InvalidMomentsError(f"{name} must be a positive normal float, got {v!r}")
     k = math.frexp(m.sigma2)[1] // 2
     h = (math.frexp(m.lambda4)[1] - 2 * k) // 4
     s2, l4 = math.ldexp(m.sigma2, -2 * k), math.ldexp(m.lambda4, -2 * (k + 2 * h))
@@ -116,7 +117,8 @@ def _law(m: SpectralMoments):
     a_curv = math.ldexp(math.sqrt(l4 / delta), -k)
     a_mix = math.ldexp(math.sqrt(q / (delta * s2)), -k)
     amp = math.sqrt(2.0 * math.pi * q / (l4 * s2))
-    return math.sqrt(m.sigma2), a_curv, a_mix, amp
+    sigma, root2 = math.sqrt(m.sigma2), math.sqrt(m.lambda2)
+    return sigma, a_curv, a_mix, amp, math.sqrt(m.lambda4) / root2, root2 / sigma
 
 
 def peak_height_right_cdf(m: SpectralMoments, u):
@@ -125,7 +127,7 @@ def peak_height_right_cdf(m: SpectralMoments, u):
     Vectorized over ``u``. The result is clamped to [0, 1]; the raw
     expression can stray by up to ~1e-12 from rounding.
     """
-    sigma, a_curv, a_mix, amp = _law(m)
+    sigma, a_curv, a_mix, amp = _law(m)[:4]
     # Past 1e100 sigma the law reads exactly 0 or 1 (a_curv sigma >= 1); the
     # clip keeps x * x and the ndtr arguments finite.
     u = np.clip(np.asarray(u, dtype=float), -1e100 * sigma, 1e100 * sigma)
@@ -138,7 +140,7 @@ def peak_height_right_cdf(m: SpectralMoments, u):
 
 def _log_right_cdf(law, u: float) -> float:
     """log F(u) for the ``_law`` coefficients, stable far into the upper tail."""
-    sigma, a_curv, a_mix, amp = law
+    sigma, a_curv, a_mix, amp = law[:4]
     x = u / sigma
     t1 = log_ndtr(-a_curv * u)
     log_amp = math.log(amp) if amp > 0.0 else -math.inf  # amp underflows with lambda2^2
@@ -185,9 +187,8 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
 
 def expected_num_maxima(m: SpectralMoments, length: float) -> float:
     """Expected number of local maxima on a stretch of given length."""
-    m.validate()
     _positive(length, "length")
-    return length / (2.0 * math.pi) * math.sqrt(m.lambda4 / m.lambda2)
+    return length / (2.0 * math.pi) * _law(m)[4]
 
 
 def assign_pvalues(maxima: Candidates, m: SpectralMoments) -> Candidates:

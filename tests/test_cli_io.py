@@ -1238,6 +1238,24 @@ class TestCliDetect:
     @pytest.mark.parametrize(
         "flags, message",
         [
+            (["--sigma2", "1", "--lambda2", "1", "--lambda4", "1"],
+             "sigma2 * lambda4 - lambda2^2 must be positive"),
+            (["--sigma2", "1e-310", "--lambda2", "1e-311", "--lambda4", "1e-310"],
+             "sigma2 must be a positive normal float, got 1e-310"),
+        ],
+        ids=["infeasible", "subnormal"],
+    )
+    def test_explicit_moments_refused_before_input_is_read(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        monkeypatch.setattr(cli, "load_series", refuse)
+        assert main(["detect", str(tmp_path / "nope.txt"), "--gamma", "3", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
             (["--gamma", "inf"], "gamma must be positive and finite"),
             (["--gamma", "3", "--noise-sigma", "inf"], "noise sigma must be positive and finite"),
             (
@@ -1434,9 +1452,14 @@ class TestCliDetect:
             (np.random.default_rng(0).normal(size=1000) * 1e200, ["--moments", "var"], 3),
             (np.random.default_rng(0).normal(size=1000),
              ["--moments", "mad", "--spacing", "1e-200", "--gamma", "1e-200"], 3),
+            # Normal data whose moments (sigma2 ~ 1e-321) are subnormal.
+            (np.random.default_rng(0).normal(size=2000) * 1e-160, ["--moments", "mad"], 3),
+            (np.random.default_rng(0).normal(size=2000) * 1e-160, ["--moments", "crossing"], 3),
+            (np.random.default_rng(0).normal(size=2000) * 1e-160, ["--moments", "var"], 3),
         ],
         ids=["huge height", "mad past the float range", "crossing past the float range",
-             "var past the float range", "quotients past the float range"],
+             "var past the float range", "quotients past the float range",
+             "mad subnormal", "crossing subnormal", "var subnormal"],
     )
     def test_huge_values_warn_nothing(self, tmp_path, capsys, values, flags, code):
         src = tmp_path / "series.txt"
@@ -1864,6 +1887,19 @@ class TestCliEstimateMoments:
         report = capsys.readouterr().out
         if code == 0:
             assert json.loads(report)["moments"] == printed
+
+    def test_subnormal_estimate_exit_3_with_payload(self, tmp_path, capsys):
+        # The moments of N(0, 1) data at 1e-160 are subnormal: printed, then refused.
+        src = tmp_path / "tiny.txt"
+        values = np.random.default_rng(0).normal(size=2000) * 1e-160
+        src.write_text("".join(f"{x!r}\n" for x in values.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["estimate-moments", str(src), "--gamma", "3"]) == 3
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["degenerate"] is True and 0.0 < payload["moments"]["sigma2"] < 1e-308
+        assert err == "error: degenerate moment estimate\n"
 
     @pytest.mark.parametrize("gamma", ["-1", "0", "inf", "nan"])
     def test_bad_gamma_refused_before_input(self, tmp_path, capsys, monkeypatch, gamma):

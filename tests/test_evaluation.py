@@ -276,6 +276,22 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="outside the float range"):
             SimConfig(signal, noise, Grid(200), gammas)
 
+    def test_subnormal_model_moments_refused(self):
+        # At sigma = 2^-531, sigma2 is subnormal: its cells drifted from those
+        # at sigma = 1, so the study is refused when it is built.
+        with pytest.raises(ValueError, match="outside the float range"):
+            standard_design(sigma=2**-531, amplitude=10 * 2**-531)
+
+    def test_power_of_two_noise_scale_keeps_cells(self):
+        # Each stage scales exactly, and the model moments at 2^-505 are normal.
+        def cells(scale):
+            design = standard_design(
+                num_peaks=4, replications=40, base_seed=3, sigma=scale, amplitude=10 * scale
+            )
+            return run_simulation(design).cells
+
+        assert cells(2.0**-505) == cells(1.0)
+
     @pytest.mark.parametrize(
         "layout",
         [{}, {"peak_spacing": 9.0}, {"nu": 1.0}, {"num_peaks": 3, "peak_spacing": 120.0}],

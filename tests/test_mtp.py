@@ -7,6 +7,7 @@ import pytest
 
 from peaksig import (
     NoiseSpec,
+    SpectralMoments,
     asymptotic_bh_threshold,
     bh,
     bonferroni,
@@ -174,6 +175,12 @@ class TestDeterministicThreshold:
         with pytest.raises(ValueError):
             bonferroni_deterministic_threshold(self.MOMENTS, 1e-3, 0.05)
 
+    def test_finite_where_the_moment_quotient_overflows(self):
+        # E[#maxima] = 1e200 / (2 pi) on unit length, though lambda4 / lambda2
+        # is past the float range.
+        u = bonferroni_deterministic_threshold(SpectralMoments(1.0, 1e-200, 1e200), 1.0, 0.05)
+        assert math.isfinite(u) and u > 0.0
+
     def test_alpha_near_one(self):
         u = bonferroni_deterministic_threshold(self.MOMENTS, 2000.0, 0.999)
         assert math.isfinite(u)
@@ -200,6 +207,14 @@ class TestApproxThreshold:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bonferroni_approx_threshold(self.MOMENTS, 1e-6, 0.05)
+
+    def test_huge_length_stays_finite(self):
+        # (L / alpha) sqrt(lambda2 / (2 pi sigma2)) overflows at L = 1e308;
+        # its logarithm does not.
+        approx = bonferroni_approx_threshold(self.MOMENTS, 1e308, 0.05)
+        assert approx == pytest.approx(11.546, rel=0.01)
+        exact = bonferroni_deterministic_threshold(self.MOMENTS, 1e308, 0.05)
+        assert exact == pytest.approx(11.546, abs=1e-3)
 
 
 class TestAsymptoticBhThreshold:

@@ -1,6 +1,7 @@
 """Tests for the peak-height null distribution."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -74,12 +75,12 @@ class TestGaussianModelMoments:
         "sigma, nu, gamma",
         [
             (1.0, 0.0, 1e-300), (1.0, 0.0, 1e300), (1e200, 0.0, 3.0), (1.0, 1e300, 3.0),
-            (1e-200, 0.0, 3.0),
+            (1e-200, 0.0, 3.0), (2.0**-531, 0.0, 3.0),
         ],
     )
     def test_moments_outside_float_range_refused(self, sigma, nu, gamma):
-        # Overflow, division by an underflowed power and zero moments all
-        # name the three inputs.
+        # Overflow, division by an underflowed power, and zero or subnormal
+        # moments all name the three inputs.
         with pytest.raises(ValueError) as info:
             gaussian_model_moments(NoiseSpec(sigma, nu), gamma)
         assert type(info.value) is ValueError
@@ -111,11 +112,24 @@ class TestSpectralMoments:
             (1.0, 2.0, 1.0),  # delta < 0
             (1.0, 1e200, 1.0),  # lambda2^2 overflows
             (1e-300, 1e10, 1e-300),  # lambda2 overflows once rescaled
+            (1e-310, 1e-311, 1e-310),  # subnormal
+            (1.0, 5e-324, 1.0),  # subnormal lambda2, though Delta > 0
         ],
     )
     def test_validate_rejects(self, triple):
         with pytest.raises(InvalidMomentsError):
             SpectralMoments(*triple).validate()
+
+    @pytest.mark.parametrize("name", ["sigma2", "lambda2", "lambda4"])
+    def test_smallest_normal_accepted_subnormal_refused(self, name):
+        # Each moment must be a positive normal float; the triple is feasible
+        # either way, so only the range rule decides.
+        values = {"sigma2": 1e200, "lambda2": 1e-100, "lambda4": 1e200}
+        tiny = sys.float_info.min
+        SpectralMoments(**{**values, name: tiny}).validate()
+        below = math.nextafter(tiny, 0.0)
+        with pytest.raises(InvalidMomentsError, match=f"^{name} must be a positive normal float"):
+            SpectralMoments(**{**values, name: below}).validate()
 
     def test_invalid_moments_is_value_error(self):
         assert issubclass(InvalidMomentsError, ValueError)
@@ -362,6 +376,11 @@ class TestExpectedNumMaxima:
     def test_validates_moments(self):
         with pytest.raises(InvalidMomentsError):
             expected_num_maxima(SpectralMoments(-1.0, 1.0, 1.0), 100.0)
+
+    def test_finite_where_the_moment_quotient_overflows(self):
+        # lambda4 / lambda2 = 1e400 is past the float range; its root is not.
+        m = SpectralMoments(1.0, 1e-200, 1e200)
+        assert expected_num_maxima(m, 1.0) == pytest.approx(1e200 / (2.0 * math.pi), rel=1e-12)
 
 
 def table(index, height, **columns) -> Candidates:

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from peaksig import (
@@ -237,6 +237,68 @@ def test_detect_exact_under_power_of_two_time_scaling_and_shift(seed, k, origin,
     moved = SampledSeries(series.values, spacing=step, origin=origin)
     got = detect_outcome(moved, DetectorConfig(gamma=3.0 * step, moments_source=source))
     assert_same_bits(got, base)
+
+
+def outcome_or_refused(series: SampledSeries, gamma: float, source):
+    """``detect_outcome`` at bandwidth ``gamma``, or ``None`` where the model
+    moments or the smoothing leave the float range and are refused by name."""
+    refusals = (
+        "put the model moments outside the float range",
+        "takes the series past the float range",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return detect_outcome(series, DetectorConfig(gamma=gamma, moments_source=source))
+        except ValueError as exc:
+            assert str(exc).endswith(refusals)
+            return None
+
+
+# Units never change the answer silently. Past the range of the two tests
+# above a moment is subnormal or overflows: the run must then be refused,
+# not give other bits. At 2^-532, 2^-520 and 2^-510 the data are normal but
+# sigma2 is near or below the smallest normal float; at a time scale of
+# 2^254 and beyond, lambda4 is. At 2^-506 (time scale 2^253) the moments
+# are normal, but some squared deviations that var sums are not.
+@pytest.mark.parametrize("source", ["mad", "var", "crossing", "model"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**20), k=st.integers(-1074, 1023))
+@example(seed=0, k=-532)
+@example(seed=0, k=-520)
+@example(seed=0, k=-510)
+@example(seed=4, k=-506)
+def test_detect_exact_or_refused_under_any_data_scaling(source, seed, k):
+    series = seeded_series(seed)
+    # Every k that keeps the scaled data normal floats.
+    big, small = (math.frexp(f(np.abs(series.values)))[1] for f in (np.max, np.min))
+    assume(-1021 - small <= k <= 1024 - big)
+
+    def outcome(values, k):
+        src = NoiseSpec(sigma=math.ldexp(1.0, k)) if source == "model" else source
+        return outcome_or_refused(dataclasses.replace(series, values=values), 3.0, src)
+
+    base = outcome(series.values, 0)
+    got = outcome(np.ldexp(series.values, k), k)
+    if got is not None:
+        assert_same_bits(got, (np.ldexp(base[0], k), *base[1:]))
+
+
+# The closed-form model is left out, as in the time test above.
+@pytest.mark.parametrize("source", ["mad", "var", "crossing"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**20), k=st.integers(-1022, 1012))
+@example(seed=0, k=254)
+@example(seed=0, k=256)
+@example(seed=0, k=260)
+@example(seed=4, k=253)
+def test_detect_exact_or_refused_under_any_time_scaling(source, seed, k):
+    series = seeded_series(seed)
+    base = outcome_or_refused(series, 3.0, source)
+    step = math.ldexp(1.0, k)
+    got = outcome_or_refused(SampledSeries(series.values, spacing=step), 3.0 * step, source)
+    if got is not None:
+        assert_same_bits(got, base)
 
 
 def with_candidates(result, candidates: Candidates) -> DetectionResult:
