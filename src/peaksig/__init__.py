@@ -38,7 +38,6 @@ from .mtp import (
 from .moments_est import (
     ESTIMATORS,
     MAD_SCALE,
-    MomentEstimate,
     count_upcrossings,
     default_acf_lag_window,
     estimate_moments_acf,
@@ -103,7 +102,6 @@ __all__ = [
     "bonferroni_deterministic_threshold",
     "ESTIMATORS",
     "MAD_SCALE",
-    "MomentEstimate",
     "count_upcrossings",
     "default_acf_lag_window",
     "estimate_moments_acf",

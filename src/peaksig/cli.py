@@ -396,18 +396,24 @@ def _cmd_estimate(args) -> int:
     series = _series(args)
     if config:
         series, _ = _smooth(series, config)
-    estimate = estimate_smoothed_moments(series, args.estimator, args.gamma)
+    moments, diagnostics = estimate_smoothed_moments(series, args.estimator, args.gamma)
+    reason = None
+    try:
+        moments.validate()
+    except InvalidMomentsError as exc:
+        reason = str(exc)
     payload = {
-        "estimator": estimate.method,
+        "estimator": args.estimator,
         "gamma": args.gamma,
         "num_samples": len(series) - 2 * series.boundary,
-        "moments": asdict(estimate.moments),
-        "degenerate": estimate.degenerate,
-        "diagnostics": estimate.diagnostics,
+        "moments": asdict(moments),
+        "degenerate": reason is not None,
+        "diagnostics": diagnostics,
+        "reason": reason,
     }
     write_json(payload, args.output or sys.stdout)
-    if estimate.degenerate:
-        raise InvalidMomentsError("degenerate moment estimate")
+    if reason is not None:
+        raise InvalidMomentsError(f"degenerate moment estimate: {reason}")
     return 0
 
 

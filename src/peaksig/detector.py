@@ -20,12 +20,7 @@ import numpy as np
 from . import mtp
 from .maxima import Candidates, find_local_maxima
 from .model import NoiseSpec
-from .moments_est import (
-    ESTIMATORS,
-    MomentEstimate,
-    default_acf_lag_window,
-    estimate_moments_acf,
-)
+from .moments_est import ESTIMATORS, default_acf_lag_window, estimate_moments_acf
 from .mtp import _METHODS
 from .nulldist import (
     InvalidMomentsError,
@@ -134,23 +129,19 @@ def _smooth(series, config: DetectorConfig):
     return smoothed, kernel
 
 
-def estimate_smoothed_moments(
-    smoothed: SampledSeries, estimator: str, gamma: float | None = None
-) -> MomentEstimate:
-    """Estimate the null moments of a smoothed series with a named estimator.
-
-    Only the interior, outside the ``smoothed.boundary`` zone, is used.
-    The ``acf`` estimator needs the smoothing bandwidth ``gamma``, and fits
-    ``default_acf_lag_window(gamma, spacing)`` lags. A degenerate estimate
-    is returned, not raised.
+def estimate_smoothed_moments(smoothed: SampledSeries, estimator: str, gamma: float | None = None):
+    """``(moments, diagnostics)`` of a named estimator on a smoothed series, the
+    moments unchecked. Only the interior, outside the ``smoothed.boundary`` zone,
+    is used. The ``acf`` estimator needs the smoothing bandwidth ``gamma``, and
+    fits ``default_acf_lag_window(gamma, spacing)`` lags.
     """
-    b = smoothed.boundary
-    interior = smoothed.crop(b, len(smoothed) - b) if b > 0 else smoothed
+    b, spacing = smoothed.boundary, smoothed.spacing
+    interior = smoothed.values[b : len(smoothed) - b]
     if estimator != "acf":
-        return ESTIMATORS[estimator](interior)
+        return ESTIMATORS[estimator](interior, spacing)
     if gamma is None:
         raise ValueError("the acf estimator needs a bandwidth")
-    return estimate_moments_acf(interior, default_acf_lag_window(gamma, smoothed.spacing))
+    return estimate_moments_acf(interior, spacing, default_acf_lag_window(gamma, spacing))
 
 
 def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:
@@ -160,10 +151,13 @@ def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:
         return source.validate()
     if isinstance(source, NoiseSpec):
         return gaussian_model_moments(source, gamma)
-    est = estimate_smoothed_moments(smoothed, source, gamma)
-    if est.degenerate:
-        raise InvalidMomentsError(f"moment estimation ({source}) degenerate: {est.diagnostics}")
-    return est.moments
+    moments, diagnostics = estimate_smoothed_moments(smoothed, source, gamma)
+    try:
+        return moments.validate()
+    except InvalidMomentsError as exc:
+        raise InvalidMomentsError(
+            f"moment estimation ({source}) degenerate: {exc}; {diagnostics}"
+        ) from None
 
 
 def detect(series: SampledSeries, config: DetectorConfig) -> DetectionResult:

@@ -20,24 +20,22 @@ Four methods:
     Level-crossing counts inverted through the Rice formula, averaged
     over levels 0 and +-(2/3) sigma-hat.
 
-Estimates are flagged ``degenerate`` rather than raised when the data
-cannot support them (constant input, no crossings, infeasible moment
-combinations).
+Each estimator takes the values of a series and its spacing and returns
+``(moments, diagnostics)``: the triple as estimated, unchecked, and what it
+counted. ``moments.validate()`` judges whether the data supported it
+(constant input, no crossings, infeasible or out-of-range moments).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nulldist import InvalidMomentsError, SpectralMoments
-from .series import SampledSeries
+from .nulldist import SpectralMoments
 
 __all__ = [
     "MAD_SCALE",
-    "MomentEstimate",
     "mad_variance",
     "count_upcrossings",
     "estimate_moments_mad",
@@ -51,21 +49,6 @@ __all__ = [
 # Gaussian consistency constant: MAD * 1.4826... estimates the standard
 # deviation of a normal sample. Bitwise ``1 / Phi^{-1}(0.75)``.
 MAD_SCALE = 1.482602218505602
-
-
-@dataclass(frozen=True, eq=False)
-class MomentEstimate:
-    """Estimated spectral moments plus bookkeeping.
-
-    ``degenerate`` is set when the estimate violates the feasibility
-    requirements (positive moments, positive Delta); such estimates are
-    reported, not raised, so callers can inspect the diagnostics.
-    """
-
-    moments: SpectralMoments
-    method: str
-    degenerate: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _halved(v: np.ndarray):
@@ -95,15 +78,6 @@ def count_upcrossings(values: np.ndarray, level: float) -> int:
     return int(np.count_nonzero((v[:-1] < level) & (v[1:] >= level)))
 
 
-def _finalize(method: str, sigma2, lambda2, lambda4, diagnostics) -> MomentEstimate:
-    moments = SpectralMoments(float(sigma2), float(lambda2), float(lambda4))
-    try:
-        moments.validate()
-    except InvalidMomentsError:
-        return MomentEstimate(moments, method, True, diagnostics)
-    return MomentEstimate(moments, method, False, diagnostics)
-
-
 def _sample_variance(v: np.ndarray) -> float:
     """``np.var(v, ddof=1)`` on ``v`` scaled by ``2^-e`` into [-1, 1], scaled back by
     ``4^e``: exact, so power-of-two units move no bit; inf where it overflows."""
@@ -122,27 +96,26 @@ def _quotient(v: np.ndarray, spacing: float):
     return np.diff(v) / spacing
 
 
-def _difference_plan(method: str, variance, least: int, series: SampledSeries):
-    """``variance`` of the series and of its first two difference quotients,
+def _difference_plan(variance, least: int, values: np.ndarray, spacing: float):
+    """``variance`` of ``values`` and of their first two difference quotients,
     as the three moments; ``least`` is the shortest series accepted. A
-    quotient past the float range makes its moment, and the estimate, degenerate."""
-    if len(series) < least:
+    quotient past the float range makes its moment inf, which ``validate`` refuses."""
+    if len(values) < least:
         raise ValueError(f"need at least {least} samples")
-    x = series.values
-    dx = _quotient(x, series.spacing)
-    ddx = None if dx is None else _quotient(dx, series.spacing)
-    moments = [math.inf if v is None else variance(v) for v in (x, dx, ddx)]
-    return _finalize(method, *moments, {"n": len(x)})
+    dx = _quotient(values, spacing)
+    ddx = None if dx is None else _quotient(dx, spacing)
+    moments = [math.inf if v is None else variance(v) for v in (values, dx, ddx)]
+    return SpectralMoments(*moments), {"n": len(values)}
 
 
-def estimate_moments_mad(series: SampledSeries) -> MomentEstimate:
+def estimate_moments_mad(values: np.ndarray, spacing: float):
     """MAD-based moments from the series and its first two differences."""
-    return _difference_plan("mad", mad_variance, 3, series)
+    return _difference_plan(mad_variance, 3, values, spacing)
 
 
-def estimate_moments_var(series: SampledSeries) -> MomentEstimate:
+def estimate_moments_var(values: np.ndarray, spacing: float):
     """Sample-variance moments from the series and its differences."""
-    return _difference_plan("var", _sample_variance, 4, series)
+    return _difference_plan(_sample_variance, 4, values, spacing)
 
 
 def default_acf_lag_window(gamma: float, spacing: float) -> int:
@@ -169,25 +142,19 @@ def acf_polynomial_fit(
     return float(beta[0]), float(-2.0 * beta[1]), float(24.0 * beta[2])
 
 
-def estimate_moments_acf(series: SampledSeries, lag_window: int) -> MomentEstimate:
+def estimate_moments_acf(values: np.ndarray, spacing: float, lag_window: int):
     """Polynomial autocovariance fit over lags ``0..lag_window``."""
     if lag_window < 3:
         raise ValueError("lag_window must be >= 3")
-    n = len(series)
+    n = len(values)
     if n <= lag_window + 1:
         raise ValueError("series too short for the requested lag window")
-    x = series.values - series.values.mean()
+    x = values - values.mean()
     acvf = np.empty(lag_window + 1)
     for k in range(lag_window + 1):
         acvf[k] = np.dot(x[: n - k], x[k:]) / n
-    sigma2, lambda2, lambda4 = acf_polynomial_fit(acvf, series.spacing)
-    return _finalize(
-        "acf",
-        sigma2,
-        lambda2,
-        lambda4,
-        {"n": n, "lag_window": lag_window, "acvf_lag0": float(acvf[0])},
-    )
+    moments = SpectralMoments(*acf_polynomial_fit(acvf, spacing))
+    return moments, {"n": n, "lag_window": lag_window, "acvf_lag0": float(acvf[0])}
 
 
 def _crossing_rate(values: np.ndarray, sigma: float, duration: float):
@@ -208,44 +175,39 @@ def _crossing_rate(values: np.ndarray, sigma: float, duration: float):
     return rate, (n0, n_up, n_dn)
 
 
-def estimate_moments_crossing(series: SampledSeries) -> MomentEstimate:
+def estimate_moments_crossing(values: np.ndarray, spacing: float):
     """Level-crossing moments.
 
     ``sigma2`` comes from the MAD; ``lambda2 = sigma2 * rate^2`` where
     ``rate`` estimates ``sqrt(lambda2/sigma2)`` from crossing counts;
     ``lambda4`` repeats the construction on the difference quotients.
     """
-    if len(series) < 4:
+    n = len(values)
+    if n < 4:
         raise ValueError("need at least 4 samples")
-    x = series.values
-    dx = _quotient(x, series.spacing)
+    dx = _quotient(values, spacing)
     if dx is None:
-        return _finalize("crossing", mad_variance(x), math.inf, math.inf, {"n": x.size})
-    passes = (x, dx)
+        return SpectralMoments(mad_variance(values), math.inf, math.inf), {"n": n}
+    passes = (values, dx)
     variances = [mad_variance(v) for v in passes]
     if 0.0 in variances:
-        return _finalize("crossing", variances[0], 0.0, 0.0, {"n": x.size, "counts": (0, 0, 0)})
+        return SpectralMoments(variances[0], 0.0, 0.0), {"n": n, "counts": (0, 0, 0)}
     moments, counts = [], []
     for v, variance in zip(passes, variances):
         # Crossing levels are offsets from the center, so remove the median
         # first; this is what keeps the estimate translation-invariant.
-        duration = (v.size - 1) * series.spacing
+        duration = (v.size - 1) * spacing
         v, factor = _halved(v)
         rate, c = _crossing_rate(v - np.median(v), math.sqrt(variance) / factor, duration)
         moments.append(variance * (rate * rate))  # a product, as in mad_variance
         counts.append(c)
     sigma2 = variances[0]
-    return _finalize(
-        "crossing",
-        sigma2,
-        *moments,
-        {
-            "n": x.size,
-            "counts": counts[0],
-            "counts_diff": counts[1],
-            "levels": (0.0, 2.0 * math.sqrt(sigma2) / 3.0),
-        },
-    )
+    return SpectralMoments(sigma2, *moments), {
+        "n": n,
+        "counts": counts[0],
+        "counts_diff": counts[1],
+        "levels": (0.0, 2.0 * math.sqrt(sigma2) / 3.0),
+    }
 
 
 ESTIMATORS = {

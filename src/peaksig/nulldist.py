@@ -36,6 +36,7 @@ units of data or time move no bit, and no product of feasible moments overflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,7 +104,8 @@ def _law(m: SpectralMoments):
     law's ``(sigma, a_curv, a_mix, amp)`` and the Rice rates ``sqrt(lambda4 / lambda2)``,
     ``sqrt(lambda2 / sigma2)``, as quotients of roots: finite where the true rates are."""
     for name, v in vars(m).items():
-        if not np.finfo(float).tiny <= v < math.inf:
+        # Python float bounds compare exactly with an int, so one past the range is refused.
+        if not sys.float_info.min <= v <= sys.float_info.max:
             raise InvalidMomentsError(f"{name} must be a positive normal float, got {v!r}")
     k = math.frexp(m.sigma2)[1] // 2
     h = (math.frexp(m.lambda4)[1] - 2 * k) // 4

@@ -103,7 +103,8 @@ def make_gaussian_kernel(
     """
     half_width = _half_width(gamma, truncation, spacing)
     offsets = spacing * np.arange(-half_width, half_width + 1)
-    weights = np.exp(-0.5 * (offsets / gamma) ** 2) / (gamma * _SQRT_2PI)
+    # exp(-800) is 0 already: the clip keeps the square finite and moves no weight.
+    weights = np.exp(-0.5 * np.minimum(np.abs(offsets / gamma), 40.0) ** 2) / (gamma * _SQRT_2PI)
     mass = float(weights.sum()) * float(spacing)  # a float product overflows silently
     if not 0.0 < mass < math.inf:
         raise ValueError(

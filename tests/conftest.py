@@ -14,7 +14,6 @@ from peaksig import (
     DEFAULT_BANDWIDTH_GRID,
     Grid,
     NoiseSpec,
-    SampledSeries,
     SignalSpec,
     make_gaussian_kernel,
     run_simulation,
@@ -122,24 +121,22 @@ def estimator_study():
         smooth_noise = np.convolve(noise.values, kernel.weights, "same")[
             margin:-margin
         ]
-        series = SampledSeries(smooth_noise, 1.0)
-        est_mad = peaksig.estimate_moments_mad(series)
-        est_var = peaksig.estimate_moments_var(series)
+        est_mad, _ = peaksig.estimate_moments_mad(smooth_noise, 1.0)
+        est_var, _ = peaksig.estimate_moments_var(smooth_noise, 1.0)
         smooth_both = np.convolve(
             signal_values + noise.values, kernel.weights, "same"
         )[margin:-margin]
         smooth_both = smooth_both - smooth_both.mean()
-        both = SampledSeries(smooth_both, 1.0)
-        sig_mad = peaksig.estimate_moments_mad(both)
-        sig_var = peaksig.estimate_moments_var(both)
-        out["mad_s2"].append(est_mad.moments.sigma2)
-        out["mad_l2"].append(est_mad.moments.lambda2)
-        out["mad_l4"].append(est_mad.moments.lambda4)
-        out["var_s2"].append(est_var.moments.sigma2)
-        out["var_l2"].append(est_var.moments.lambda2)
-        out["var_l4"].append(est_var.moments.lambda4)
-        out["mad_sig_s2"].append(sig_mad.moments.sigma2)
-        out["var_sig_s2"].append(sig_var.moments.sigma2)
+        sig_mad, _ = peaksig.estimate_moments_mad(smooth_both, 1.0)
+        sig_var, _ = peaksig.estimate_moments_var(smooth_both, 1.0)
+        out["mad_s2"].append(est_mad.sigma2)
+        out["mad_l2"].append(est_mad.lambda2)
+        out["mad_l4"].append(est_mad.lambda4)
+        out["var_s2"].append(est_var.sigma2)
+        out["var_l2"].append(est_var.lambda2)
+        out["var_l4"].append(est_var.lambda4)
+        out["mad_sig_s2"].append(sig_mad.sigma2)
+        out["var_sig_s2"].append(sig_var.sigma2)
     return {key: np.array(vals) for key, vals in out.items()}
 
 

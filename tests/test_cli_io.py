@@ -1391,10 +1391,20 @@ class TestCliDetect:
         )
         assert code == 1
 
-    def test_degenerate_estimate_exit_3(self, tmp_path):
+    def test_degenerate_estimate_exit_3(self, tmp_path, capsys):
+        # The refusal names validate()'s reason, then the estimator's diagnostics.
+        cases = [
+            ([2.0] * 100, "3", "sigma2 must be a positive normal float, got 0.0; {'n': 76}"),
+            (np.random.default_rng(0).normal(size=2000) * 1e-160, "3",
+             "sigma2 must be a positive normal float, got 9.04e-322; {'n': 1976}"),
+            (np.random.default_rng(21).normal(size=300), "10",
+             "sigma2 * lambda4 - lambda2^2 must be positive; {'n': 220}"),
+        ]
         src = tmp_path / "series.txt"
-        src.write_text("2.0\n" * 100)
-        assert main(["detect", str(src), "--gamma", "3", "--moments", "mad"]) == 3
+        for values, gamma, reason in cases:
+            src.write_text("".join(f"{x!r}\n" for x in np.asarray(values).tolist()))
+            assert main(["detect", str(src), "--gamma", gamma, "--moments", "mad"]) == 3
+            assert capsys.readouterr().err == f"error: moment estimation (mad) degenerate: {reason}\n"
 
     def test_incomplete_moment_triple(self, tmp_path):
         src = tmp_path / "series.txt"
@@ -1456,10 +1466,14 @@ class TestCliDetect:
             (np.random.default_rng(0).normal(size=2000) * 1e-160, ["--moments", "mad"], 3),
             (np.random.default_rng(0).normal(size=2000) * 1e-160, ["--moments", "crossing"], 3),
             (np.random.default_rng(0).normal(size=2000) * 1e-160, ["--moments", "var"], 3),
+            # The kernel's outer offsets lie 1e300 bandwidths out: squared, they overflow.
+            (np.round(np.random.default_rng(0).normal(size=400)),
+             ["--gamma", "1e-300", "--kernel-truncation", "1e300"], 0),
         ],
         ids=["huge height", "mad past the float range", "crossing past the float range",
              "var past the float range", "quotients past the float range",
-             "mad subnormal", "crossing subnormal", "var subnormal"],
+             "mad subnormal", "crossing subnormal", "var subnormal",
+             "kernel offsets past the float range"],
     )
     def test_huge_values_warn_nothing(self, tmp_path, capsys, values, flags, code):
         src = tmp_path / "series.txt"
@@ -1848,7 +1862,7 @@ class TestCliEstimateMoments:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["estimator"] == "mad"
-        assert not payload["degenerate"]
+        assert not payload["degenerate"] and payload["reason"] is None
         assert payload["moments"]["sigma2"] == pytest.approx(0.188, rel=0.25)
 
     def test_degenerate_exit_3_with_payload(self, tmp_path, capsys):
@@ -1857,8 +1871,9 @@ class TestCliEstimateMoments:
         code = main(["estimate-moments", str(src), "--estimator", "mad"])
         assert code == 3
         out, err = capsys.readouterr()
-        assert json.loads(out)["degenerate"] is True
-        assert err == "error: degenerate moment estimate\n"
+        reason = "sigma2 must be a positive normal float, got 0.0"
+        assert json.loads(out)["degenerate"] is True and json.loads(out)["reason"] == reason
+        assert err == f"error: degenerate moment estimate: {reason}\n"
 
     @settings(
         max_examples=20,
@@ -1899,7 +1914,9 @@ class TestCliEstimateMoments:
         out, err = capsys.readouterr()
         payload = json.loads(out)
         assert payload["degenerate"] is True and 0.0 < payload["moments"]["sigma2"] < 1e-308
-        assert err == "error: degenerate moment estimate\n"
+        reason = "sigma2 must be a positive normal float, got 9.04e-322"
+        assert payload["reason"] == reason
+        assert err == f"error: degenerate moment estimate: {reason}\n"
 
     @pytest.mark.parametrize("gamma", ["-1", "0", "inf", "nan"])
     def test_bad_gamma_refused_before_input(self, tmp_path, capsys, monkeypatch, gamma):

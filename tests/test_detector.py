@@ -189,7 +189,7 @@ class TestMomentSources:
 
     def test_degenerate_estimation_raises(self):
         constant = SampledSeries(np.full(200, 3.25))
-        with pytest.raises(InvalidMomentsError):
+        with pytest.raises(InvalidMomentsError, match="sigma2 must be a positive normal float"):
             detect(constant, DetectorConfig(gamma=3.0, moments_source="mad"))
 
     def test_invalid_explicit_moments_raise(self):

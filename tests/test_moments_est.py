@@ -13,6 +13,7 @@ from scipy.special import ndtri
 from peaksig import (
     ESTIMATORS,
     Grid,
+    InvalidMomentsError,
     MAD_SCALE,
     NoiseSpec,
     SampledSeries,
@@ -88,57 +89,43 @@ class TestEquivariance:
     invariant (exactly for differences, through the median for levels)."""
 
     @staticmethod
-    def estimates(series):
+    def estimates(values):
         return {
-            "mad": estimate_moments_mad(series),
-            "var": estimate_moments_var(series),
-            "acf": estimate_moments_acf(series, lag_window=5),
-            "crossing": estimate_moments_crossing(series),
+            "mad": estimate_moments_mad(values, 1.0)[0],
+            "var": estimate_moments_var(values, 1.0)[0],
+            "acf": estimate_moments_acf(values, 1.0, lag_window=5)[0],
+            "crossing": estimate_moments_crossing(values, 1.0)[0],
         }
 
     def test_scale_equivariance(self):
-        base = smoothed_noise(20_000, seed=11)
-        scaled = SampledSeries(4.0 * base.values, base.spacing, base.origin)
-        for name, est in self.estimates(base).items():
-            est2 = self.estimates(scaled)[name]
-            assert est2.moments.sigma2 == pytest.approx(
-                16.0 * est.moments.sigma2, rel=1e-9
-            ), name
-            assert est2.moments.lambda2 == pytest.approx(
-                16.0 * est.moments.lambda2, rel=1e-9
-            ), name
-            assert est2.moments.lambda4 == pytest.approx(
-                16.0 * est.moments.lambda4, rel=1e-9
-            ), name
+        base = smoothed_noise(20_000, seed=11).values
+        for name, m in self.estimates(base).items():
+            m2 = self.estimates(4.0 * base)[name]
+            assert m2.sigma2 == pytest.approx(16.0 * m.sigma2, rel=1e-9), name
+            assert m2.lambda2 == pytest.approx(16.0 * m.lambda2, rel=1e-9), name
+            assert m2.lambda4 == pytest.approx(16.0 * m.lambda4, rel=1e-9), name
 
     def test_translation_invariance(self):
-        base = smoothed_noise(20_000, seed=12)
-        shifted = SampledSeries(base.values + 7.25, base.spacing, base.origin)
-        for name, est in self.estimates(base).items():
-            est2 = self.estimates(shifted)[name]
-            assert est2.moments.sigma2 == pytest.approx(
-                est.moments.sigma2, rel=1e-7
-            ), name
-            assert est2.moments.lambda2 == pytest.approx(
-                est.moments.lambda2, rel=1e-7
-            ), name
-            assert est2.moments.lambda4 == pytest.approx(
-                est.moments.lambda4, rel=1e-7
-            ), name
+        base = smoothed_noise(20_000, seed=12).values
+        for name, m in self.estimates(base).items():
+            m2 = self.estimates(base + 7.25)[name]
+            assert m2.sigma2 == pytest.approx(m.sigma2, rel=1e-7), name
+            assert m2.lambda2 == pytest.approx(m.lambda2, rel=1e-7), name
+            assert m2.lambda4 == pytest.approx(m.lambda4, rel=1e-7), name
 
 
 class TestMadAndVarOnNoise:
     def test_mad_recovers_grid_moments(self):
         s = smoothed_noise(1_000_000, seed=21)
-        m = estimate_moments_mad(s).moments
+        m, _ = estimate_moments_mad(s.values, s.spacing)
         assert m.sigma2 == pytest.approx(TRUE_SIGMA2, rel=0.02)
         assert m.lambda2 == pytest.approx(GRID_LAMBDA2, rel=0.02)
         assert m.lambda4 == pytest.approx(GRID_LAMBDA4, rel=0.02)
 
     def test_var_agrees_on_pure_noise(self):
         s = smoothed_noise(1_000_000, seed=22)
-        mad = estimate_moments_mad(s).moments
-        var = estimate_moments_var(s).moments
+        mad, _ = estimate_moments_mad(s.values, s.spacing)
+        var, _ = estimate_moments_var(s.values, s.spacing)
         assert var.sigma2 == pytest.approx(mad.sigma2, rel=0.02)
         assert var.lambda2 == pytest.approx(mad.lambda2, rel=0.02)
         assert var.lambda4 == pytest.approx(mad.lambda4, rel=0.02)
@@ -147,8 +134,8 @@ class TestMadAndVarOnNoise:
         # Three samples leave one second difference, whose ddof=1 variance
         # is 0/0; the estimator refuses them as crossing does.
         with pytest.raises(ValueError, match="need at least 4 samples"):
-            estimate_moments_var(SampledSeries([1.0, 2.0, 0.5]))
-        assert not estimate_moments_var(SampledSeries([1.0, 2.0, 0.5, 3.0])).degenerate
+            estimate_moments_var(np.array([1.0, 2.0, 0.5]), 1.0)
+        estimate_moments_var(np.array([1.0, 2.0, 0.5, 3.0]), 1.0)[0].validate()
 
     def test_grid_moments_sit_below_continuous(self):
         # Difference quotients lose curvature relative to the continuum.
@@ -159,28 +146,27 @@ class TestMadAndVarOnNoise:
 class TestCrossing:
     def test_recovers_lambda2_on_noise(self):
         s = smoothed_noise(1_000_000, seed=23)
-        est = estimate_moments_crossing(s)
-        assert not est.degenerate
-        assert est.moments.lambda2 == pytest.approx(GRID_LAMBDA2, rel=0.05)
+        m, _ = estimate_moments_crossing(s.values, s.spacing)
+        assert m.validate().lambda2 == pytest.approx(GRID_LAMBDA2, rel=0.05)
 
     def test_diagnostics(self):
         s = smoothed_noise(5_000, seed=24)
-        est = estimate_moments_crossing(s)
-        n0, n_up, n_dn = est.diagnostics["counts"]
+        m, diagnostics = estimate_moments_crossing(s.values, s.spacing)
+        n0, n_up, n_dn = diagnostics["counts"]
         assert n0 > 0 and n_up > 0 and n_dn > 0
-        assert est.diagnostics["levels"][0] == 0.0
-        assert est.diagnostics["levels"][1] == pytest.approx(
-            2.0 * math.sqrt(est.moments.sigma2) / 3.0
-        )
+        assert diagnostics["levels"][0] == 0.0
+        assert diagnostics["levels"][1] == pytest.approx(2.0 * math.sqrt(m.sigma2) / 3.0)
 
     def test_monotone_series_degenerate(self):
-        est = estimate_moments_crossing(SampledSeries([1.0, 2.0, 3.0, 4.0, 5.0]))
-        assert est.degenerate
+        m, _ = estimate_moments_crossing(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 1.0)
+        with pytest.raises(InvalidMomentsError):
+            m.validate()
 
     def test_constant_series_degenerate(self):
-        est = estimate_moments_crossing(SampledSeries([2.0, 2.0, 2.0, 2.0]))
-        assert est.degenerate
-        assert est.moments.sigma2 == 0.0
+        m, _ = estimate_moments_crossing(np.array([2.0, 2.0, 2.0, 2.0]), 1.0)
+        assert m.sigma2 == 0.0
+        with pytest.raises(InvalidMomentsError, match="sigma2 must be a positive normal float"):
+            m.validate()
 
     def test_differences_near_the_float_range(self):
         # Differences of 0.95e308, -0.95e308 and 0.94e308: -0.95e308 less
@@ -188,16 +174,14 @@ class TestCrossing:
         x = np.array([-0.475e308, 0.475e308, -0.475e308, 0.465e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = estimate_moments_crossing(SampledSeries(x))
-        quarter = estimate_moments_crossing(SampledSeries(x / 4.0))
-        assert est.diagnostics["counts_diff"] == quarter.diagnostics["counts_diff"]
-        assert dataclasses.astuple(est.moments) == tuple(
-            16.0 * m for m in dataclasses.astuple(quarter.moments)
-        )
+            m, diagnostics = estimate_moments_crossing(x, 1.0)
+        quarter, quarter_diagnostics = estimate_moments_crossing(x / 4.0, 1.0)
+        assert diagnostics["counts_diff"] == quarter_diagnostics["counts_diff"]
+        assert dataclasses.astuple(m) == tuple(16.0 * v for v in dataclasses.astuple(quarter))
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            estimate_moments_crossing(SampledSeries([1.0, 2.0, 1.0]))
+            estimate_moments_crossing(np.array([1.0, 2.0, 1.0]), 1.0)
 
 
 class TestAcf:
@@ -221,17 +205,16 @@ class TestAcf:
 
     def test_on_sampled_noise(self):
         s = smoothed_noise(1_000_000, seed=25)
-        est = estimate_moments_acf(s, lag_window=5)
-        assert not est.degenerate
-        assert est.moments.sigma2 == pytest.approx(TRUE_SIGMA2 * (1 - 0.0256), rel=0.02)
+        m, _ = estimate_moments_acf(s.values, s.spacing, lag_window=5)
+        assert m.validate().sigma2 == pytest.approx(TRUE_SIGMA2 * (1 - 0.0256), rel=0.02)
 
     def test_lag_window_too_small(self):
         with pytest.raises(ValueError):
-            estimate_moments_acf(smoothed_noise(100, seed=1), lag_window=2)
+            estimate_moments_acf(smoothed_noise(100, seed=1).values, 1.0, lag_window=2)
 
     def test_series_too_short_for_window(self):
         with pytest.raises(ValueError):
-            estimate_moments_acf(SampledSeries([1.0, 2.0, 1.0, 2.0]), lag_window=5)
+            estimate_moments_acf(np.array([1.0, 2.0, 1.0, 2.0]), 1.0, lag_window=5)
 
     def test_default_lag_window(self):
         assert default_acf_lag_window(1.5, 1.0) == 5
@@ -240,20 +223,27 @@ class TestAcf:
 
     def test_diagnostics(self):
         s = smoothed_noise(10_000, seed=26)
-        est = estimate_moments_acf(s, lag_window=5)
-        assert est.diagnostics["lag_window"] == 5
-        assert est.diagnostics["acvf_lag0"] == pytest.approx(
+        _, diagnostics = estimate_moments_acf(s.values, s.spacing, lag_window=5)
+        assert diagnostics["lag_window"] == 5
+        assert diagnostics["acvf_lag0"] == pytest.approx(
             np.mean((s.values - s.values.mean()) ** 2), rel=1e-9
         )
 
 
+def estimate(name, values, spacing=1.0):
+    """``ESTIMATORS[name]`` on ``values``; ``acf`` fits lags 0..5."""
+    fn = ESTIMATORS[name]
+    return fn(values, spacing, 5) if name == "acf" else fn(values, spacing)
+
+
 class TestDegenerateFlagging:
+    """Estimators return the triple unchecked; ``validate()`` refuses it."""
+
     def test_constant_series_flagged_not_raised(self):
-        s = SampledSeries([3.0] * 50)
-        for name, fn in ESTIMATORS.items():
-            est = fn(s, 5) if name == "acf" else fn(s)
-            assert est.degenerate, name
-            assert est.method == name
+        for name in ESTIMATORS:
+            m, _ = estimate(name, np.full(50, 3.0))
+            with pytest.raises(InvalidMomentsError):
+                m.validate()
 
     @pytest.mark.parametrize("name", ["mad", "var", "crossing"])
     @pytest.mark.parametrize("scale, spacing", [(1e200, 1.0), (1.0, 1e-200), (1e10, 1e-300)])
@@ -262,15 +252,17 @@ class TestDegenerateFlagging:
         v = np.random.default_rng(3).normal(size=200) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = ESTIMATORS[name](SampledSeries(v, spacing))
-        assert est.degenerate
+            m, _ = estimate(name, v, spacing)
+        with pytest.raises(InvalidMomentsError):
+            m.validate()
 
     def test_clean_noise_not_flagged(self):
-        s = smoothed_noise(50_000, seed=27)
-        for name, fn in ESTIMATORS.items():
-            est = fn(s, 5) if name == "acf" else fn(s)
-            assert not est.degenerate, name
-            est.moments.validate()
+        # detect passes a view of its smoothed series: no estimator writes to it.
+        values = smoothed_noise(50_000, seed=27).values
+        before = values.copy()
+        for name in ESTIMATORS:
+            estimate(name, values[100:-100])[0].validate()
+            assert values.tobytes() == before.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +320,7 @@ def series_values(draw):
     st.sampled_from([1.0, 0.5, 1e-3, 3.7, 250.0]) | st.floats(1e-3, 1e3),
 )
 def test_difference_plans_equal_numpy_reference_bits(method, values, spacing):
-    est = ESTIMATORS[method](SampledSeries(values, spacing=spacing, origin=-2.5))
-    got = np.array([est.moments.sigma2, est.moments.lambda2, est.moments.lambda4])
+    m, _ = ESTIMATORS[method](values, spacing)
+    got = np.array([m.sigma2, m.lambda2, m.lambda4])
     want = np.array(reference_moments(method, values, spacing), dtype=float)
     assert got.tobytes() == want.tobytes(), (got, want)

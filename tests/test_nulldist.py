@@ -114,6 +114,7 @@ class TestSpectralMoments:
             (1e-300, 1e10, 1e-300),  # lambda2 overflows once rescaled
             (1e-310, 1e-311, 1e-310),  # subnormal
             (1.0, 5e-324, 1.0),  # subnormal lambda2, though Delta > 0
+            (10**400, 1.0, 1.0),  # an int past the float range
         ],
     )
     def test_validate_rejects(self, triple):
