@@ -405,7 +405,7 @@ def _cmd_estimate(args) -> int:
     payload = {
         "estimator": args.estimator,
         "gamma": args.gamma,
-        "num_samples": len(series) - 2 * series.boundary,
+        "num_samples": diagnostics["n"],
         "moments": asdict(moments),
         "degenerate": reason is not None,
         "diagnostics": diagnostics,

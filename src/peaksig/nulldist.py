@@ -87,10 +87,16 @@ def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
     try:
         xi = math.hypot(gamma, noise.nu)
         s2 = noise.sigma * noise.sigma
+        # Products of normal floats, not pow (which can round 2^k xi and xi
+        # differently): power-of-two units then scale every moment exactly.
+        xi3 = xi * xi * xi
+        xi5 = xi3 * xi * xi
+        if min(s2, xi3, xi5) < sys.float_info.min:
+            raise FloatingPointError("a factor of the moments is subnormal")
         return SpectralMoments(
             sigma2=s2 / (2.0 * _SQRT_PI * xi),
-            lambda2=s2 / (4.0 * _SQRT_PI * xi**3),
-            lambda4=3.0 * s2 / (8.0 * _SQRT_PI * xi**5),
+            lambda2=s2 / (4.0 * _SQRT_PI * xi3),
+            lambda4=3.0 * s2 / (8.0 * _SQRT_PI * xi5),
         ).validate()
     except (ArithmeticError, InvalidMomentsError):
         raise ValueError(
@@ -112,7 +118,10 @@ def _law(m: SpectralMoments):
     s2, l4 = math.ldexp(m.sigma2, -2 * k), math.ldexp(m.lambda4, -2 * (k + 2 * h))
     # Feasible moments rescale lambda2 below 4: refuse 8 or more before it overflows.
     e = math.frexp(m.lambda2)[1] - 2 * (k + h)
-    q = math.ldexp(m.lambda2, -2 * (k + h)) ** 2 if e <= 3 else math.inf
+    q = math.inf
+    if e <= 3:
+        r = math.ldexp(m.lambda2, -2 * (k + h))
+        q = r * r  # a product, as in gaussian_model_moments
     delta = s2 * l4 - q
     if not delta > 0:
         raise InvalidMomentsError("sigma2 * lambda4 - lambda2^2 must be positive")

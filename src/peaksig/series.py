@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,14 +103,3 @@ class SampledSeries:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def crop(self, start: int, stop: int) -> "SampledSeries":
-        """Slice by sample index, shifting the origin accordingly."""
-        if not (0 <= start < stop <= self.values.size):
-            raise ValueError("crop range out of bounds")
-        return replace(
-            self,
-            values=self.values[start:stop],
-            origin=self.origin + start * self.spacing,
-            boundary=0,
-        )

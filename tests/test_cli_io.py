@@ -345,6 +345,14 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def fork_state() -> str:
+    """What decides whether a split forks, for the message of a fork count."""
+    return (
+        f"threads {threading.enumerate()}, SIGCHLD {signal.getsignal(signal.SIGCHLD)!r}, "
+        f"usable CPUs {peaksig_io._usable_cpus()}"
+    )
+
+
 SPLIT_FILES = {
     "plain": b"".join(b"%r\n" % v for v in np.linspace(-3, 3, 40).tolist()),
     "csv": b"".join(b"%r,%r\n" % (0.25 * i, i % 7 - 3.5) for i in range(40)),
@@ -449,7 +457,8 @@ class TestSplitParse:
         got = load_series(f, fmt)
         # A CR is whitespace to the plain scan, so CRLF plain files parse whole.
         split = (fmt, edit) != ("plain", "crlf")
-        assert len(split_small) == split and all(h is not None for h in halves)
+        assert len(split_small) == split, fork_state()
+        assert all(h is not None for h in halves)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(peaksig_io, "_SPLIT_MIN_BYTES", 1 << 30)
             want = load_series(f, fmt)
@@ -469,7 +478,7 @@ class TestSplitParse:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        assert split_small == []
+        assert split_small == [], fork_state()
 
     def test_no_split_with_sigchld_ignored(self, tmp_path, split_small):
         f = tmp_path / "series"
@@ -479,7 +488,7 @@ class TestSplitParse:
             got = load_series(f)
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert split_small == []
+        assert split_small == [], fork_state()
         assert got.values.tolist() == np.linspace(-3, 3, 40).tolist()
 
     @pytest.mark.parametrize("fmt", sorted(ROW))
@@ -529,7 +538,7 @@ class TestSplitParse:
         sys.stdout.write("written before the load")
         load_series(f)
         out.close()
-        assert len(split_small) == 1
+        assert len(split_small) == 1, fork_state()
         assert capfd.readouterr().out.count("written before the load") == 1
 
     def test_no_warning_escapes(self, tmp_path, split_small, monkeypatch):
@@ -549,7 +558,7 @@ class TestSplitParse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             load_series(f)
-        assert len(split_small) == 1
+        assert len(split_small) == 1, fork_state()
 
 
 def made_up_result(n, seed=5):
@@ -650,7 +659,7 @@ class TestSplitReport:
         want = serial_bytes(result, target, tmp_path)
         spans.clear()
         assert report_bytes(result, target, tmp_path) == want
-        assert len(forks) == (seam is not None)
+        assert len(forks) == (seam is not None), fork_state()
         # Rows the child delivered are not formatted here again.
         assert spans == [(0, n if seam is None else seam)]
         if seam == 32:
@@ -666,7 +675,7 @@ class TestSplitReport:
         write_detection_report(result, path, fmt="csv", input_path=str(path))
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["input"]["sha256"] == digest
-        assert len(split_reports[0]) == 1
+        assert len(split_reports[0]) == 1, fork_state()
 
     @pytest.mark.parametrize("target", REPORT_TARGETS)
     def test_failed_fork_formats_serially(self, tmp_path, split_reports, monkeypatch, target):
@@ -698,7 +707,8 @@ class TestSplitReport:
         spans.clear()
         monkeypatch.setattr(peaksig_io, "_beside_child", child_parts(edit))
         assert report_bytes(result, target, tmp_path) == want
-        assert len(forks) == 1 and spans == [(0, 35), (35, 70)]
+        assert len(forks) == 1, fork_state()
+        assert spans == [(0, 35), (35, 70)]
         assert_no_child()
 
     def test_child_reaped_on_keyboard_interrupt(self, tmp_path, split_reports, monkeypatch):
@@ -717,7 +727,7 @@ class TestSplitReport:
         with pytest.raises(KeyboardInterrupt):
             write_detection_report(made_up_result(70), tmp_path / "r.json", input_path=str(src))
         assert time.monotonic() - start < 30
-        assert len(split_reports[0]) == 1
+        assert len(split_reports[0]) == 1, fork_state()
         assert_no_child()
 
     def test_child_reaped_on_broken_output(self, tmp_path, split_reports):
@@ -729,7 +739,7 @@ class TestSplitReport:
 
         with pytest.raises(BrokenPipeError):
             write_detection_report(made_up_result(70), Broken())
-        assert len(split_reports[0]) == 1
+        assert len(split_reports[0]) == 1, fork_state()
         assert_no_child()
 
     def test_no_split_beside_another_thread(self, tmp_path, split_reports):
@@ -744,7 +754,8 @@ class TestSplitReport:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        assert split_reports[0] == [] and got == want
+        assert split_reports[0] == [], fork_state()
+        assert got == want
 
     def test_no_split_with_sigchld_ignored(self, tmp_path, split_reports):
         result = made_up_result(70)
@@ -754,7 +765,8 @@ class TestSplitReport:
             got = report_bytes(result, "json file", tmp_path)
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert split_reports[0] == [] and got == want
+        assert split_reports[0] == [], fork_state()
+        assert got == want
 
     def test_unflushed_stdout_written_once(self, split_reports, monkeypatch, capfd):
         result = made_up_result(70)
@@ -763,7 +775,7 @@ class TestSplitReport:
         sys.stdout.write("written before the report\n")
         write_detection_report(result, sys.stdout)
         out.close()
-        assert len(split_reports[0]) == 1
+        assert len(split_reports[0]) == 1, fork_state()
         text = capfd.readouterr().out
         assert text.count("written before the report") == 1
         report = json.loads(text.split("\n", 1)[1])
@@ -784,7 +796,7 @@ class TestSplitReport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report_bytes(made_up_result(70), "json file", tmp_path)
-        assert len(split_reports[0]) == 1
+        assert len(split_reports[0]) == 1, fork_state()
 
 
 @pytest.mark.parametrize("gamma", ["1e6", "1e15", "1e308"])
@@ -856,9 +868,7 @@ class TestDetectionReports:
 
     def test_infinite_threshold_roundtrips(self, tmp_path):
         # m = 0 gives an infinite p-threshold; stdlib JSON carries it.
-        flat = detect(
-            synthesize_noise(NoiseSpec(), Grid(400), seed=3).crop(0, 400), KNOWN
-        )
+        flat = detect(synthesize_noise(NoiseSpec(), Grid(400), seed=3), KNOWN)
         report = detection_report_dict(flat)
         if math.isfinite(report["decision"]["p_threshold"]):
             report["decision"]["p_threshold"] = math.inf

@@ -17,6 +17,7 @@ from peaksig import (
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
 )
+from peaksig.nulldist import _law
 
 # F(0) = 1/2 + 1/(2 sqrt 3) for the Gaussian-autocorrelation model,
 # where lambda2^2 / (sigma2 lambda4) = 1/3 for every bandwidth.
@@ -75,12 +76,12 @@ class TestGaussianModelMoments:
         "sigma, nu, gamma",
         [
             (1.0, 0.0, 1e-300), (1.0, 0.0, 1e300), (1e200, 0.0, 3.0), (1.0, 1e300, 3.0),
-            (1e-200, 0.0, 3.0), (2.0**-531, 0.0, 3.0),
+            (1e-200, 0.0, 3.0), (2.0**-531, 0.0, 3.0), (2.0**-105, 0.0, 3.0 * 2.0**-210),
         ],
     )
     def test_moments_outside_float_range_refused(self, sigma, nu, gamma):
-        # Overflow, division by an underflowed power, and zero or subnormal
-        # moments all name the three inputs.
+        # Overflow, division by an underflowed power, a subnormal power, and
+        # zero or subnormal moments all name the three inputs.
         with pytest.raises(ValueError) as info:
             gaussian_model_moments(NoiseSpec(sigma, nu), gamma)
         assert type(info.value) is ValueError
@@ -88,6 +89,21 @@ class TestGaussianModelMoments:
             f"sigma={sigma!r}, nu={nu!r} and gamma={gamma!r} put the model "
             "moments outside the float range"
         )
+
+    def test_law_exact_under_power_of_two_time_scaling(self):
+        # Time scaled by 2^t and the noise level by 2^(t/2) leave the law's
+        # coefficients as they were, bit for bit.
+        rng = np.random.default_rng(33)
+        draws = zip(
+            rng.uniform(1.0, 10.0, 20_000).tolist(),
+            rng.uniform(0.0, 5.0, 20_000).tolist(),
+            (2 * rng.integers(-10, 11, 20_000)).tolist(),
+        )
+        for g, nu, t in draws:
+            base = _law(model_moments(1.0, nu, g))[:4]
+            scale = math.ldexp(1.0, t)
+            scaled = model_moments(math.ldexp(1.0, t // 2), scale * nu, scale * g)
+            assert _law(scaled)[:4] == base, (g, nu, t)
 
     def test_normal_moments_with_underflowing_delta_accepted(self):
         # sigma2 * lambda4 underflows at gamma 1e60, but each moment is a

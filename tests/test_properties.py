@@ -221,21 +221,30 @@ def test_detect_exact_under_power_of_two_data_scaling(seed, k, source, sigma):
     assert_same_bits(got, base and (np.ldexp(base[0], k), *base[1:]))
 
 
-# Closed-form model moments are left out: libm's pow forms xi^3 and xi^5,
-# and pow(2^k x, n) and 2^(nk) pow(x, n) can differ in the last bit.
+def time_scaled(source, k: int):
+    """The moment source and spacing for a time axis scaled by 2^k. The model's
+    noise level goes to 2^(k/2), which keeps the smoothed variance, so ``k`` is
+    taken even there."""
+    if source == "model":
+        k -= k % 2
+        source = NoiseSpec(sigma=math.ldexp(1.0, k // 2))
+    return source, math.ldexp(1.0, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**20),
     st.integers(-40, 40),
     st.floats(-1e6, 1e6),
-    st.sampled_from(["mad", "var", "crossing"]),
+    st.floats(1.5, 10.0),
+    st.sampled_from(["mad", "var", "crossing", "model"]),
 )
-def test_detect_exact_under_power_of_two_time_scaling_and_shift(seed, k, origin, source):
+def test_detect_exact_under_power_of_two_time_scaling_and_shift(seed, k, origin, gamma, source):
     series = seeded_series(seed)
-    base = detect_outcome(series, DetectorConfig(gamma=3.0, moments_source=source))
-    step = math.ldexp(1.0, k)
+    base = detect_outcome(series, DetectorConfig(gamma, moments_source=time_scaled(source, 0)[0]))
+    src, step = time_scaled(source, k)
     moved = SampledSeries(series.values, spacing=step, origin=origin)
-    got = detect_outcome(moved, DetectorConfig(gamma=3.0 * step, moments_source=source))
+    got = detect_outcome(moved, DetectorConfig(gamma * step, moments_source=src))
     assert_same_bits(got, base)
 
 
@@ -284,19 +293,20 @@ def test_detect_exact_or_refused_under_any_data_scaling(source, seed, k):
         assert_same_bits(got, (np.ldexp(base[0], k), *base[1:]))
 
 
-# The closed-form model is left out, as in the time test above.
-@pytest.mark.parametrize("source", ["mad", "var", "crossing"])
+# At a time scale of 2^-210 the model's xi^5 is subnormal and is refused.
+@pytest.mark.parametrize("source", ["mad", "var", "crossing", "model"])
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**20), k=st.integers(-1022, 1012))
-@example(seed=0, k=254)
-@example(seed=0, k=256)
-@example(seed=0, k=260)
-@example(seed=4, k=253)
-def test_detect_exact_or_refused_under_any_time_scaling(source, seed, k):
+@given(seed=st.integers(0, 2**20), k=st.integers(-1022, 1012), gamma=st.floats(1.5, 10.0))
+@example(seed=0, k=254, gamma=3.0)
+@example(seed=0, k=256, gamma=3.0)
+@example(seed=0, k=260, gamma=3.0)
+@example(seed=4, k=253, gamma=3.0)
+@example(seed=0, k=-210, gamma=3.0)
+def test_detect_exact_or_refused_under_any_time_scaling(source, seed, k, gamma):
     series = seeded_series(seed)
-    base = outcome_or_refused(series, 3.0, source)
-    step = math.ldexp(1.0, k)
-    got = outcome_or_refused(SampledSeries(series.values, spacing=step), 3.0 * step, source)
+    base = outcome_or_refused(series, gamma, time_scaled(source, 0)[0])
+    src, step = time_scaled(source, k)
+    got = outcome_or_refused(SampledSeries(series.values, spacing=step), gamma * step, src)
     if got is not None:
         assert_same_bits(got, base)
 

@@ -116,20 +116,3 @@ class TestSampledSeries:
             SampledSeries(np.array([]), 1.0)
         with pytest.raises(ValueError, match="series times overflow"):
             SampledSeries(np.zeros(500), 1e306, 1e308)
-
-    def test_crop_shifts_origin_and_clears_boundary(self):
-        s = SampledSeries(np.arange(10.0), spacing=2.0, origin=5.0, boundary=3)
-        c = s.crop(3, 8)
-        assert len(c) == 5
-        assert c.origin == 5.0 + 3 * 2.0
-        assert c.boundary == 0
-        np.testing.assert_array_equal(c.values, np.arange(3.0, 8.0))
-
-    def test_crop_bounds_checked(self):
-        s = SampledSeries(np.arange(5.0), 1.0)
-        with pytest.raises(ValueError):
-            s.crop(3, 3)
-        with pytest.raises(ValueError):
-            s.crop(-1, 4)
-        with pytest.raises(ValueError):
-            s.crop(0, 6)
