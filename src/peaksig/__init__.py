@@ -39,8 +39,6 @@ from .moments_est import (
     ESTIMATORS,
     MAD_SCALE,
     count_upcrossings,
-    default_acf_lag_window,
-    estimate_moments_acf,
     estimate_moments_crossing,
     estimate_moments_mad,
     estimate_moments_var,
@@ -103,8 +101,6 @@ __all__ = [
     "ESTIMATORS",
     "MAD_SCALE",
     "count_upcrossings",
-    "default_acf_lag_window",
-    "estimate_moments_acf",
     "estimate_moments_crossing",
     "estimate_moments_mad",
     "estimate_moments_var",

@@ -389,14 +389,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.estimator == "acf" and args.gamma is None:
-        raise ValueError("the acf estimator needs --gamma")
     # detect's settings, checked before the input is read, then its smoothing
     config = args.gamma is not None and DetectorConfig(args.gamma, moments_source=args.estimator)
     series = _series(args)
     if config:
         series, _ = _smooth(series, config)
-    moments, diagnostics = estimate_smoothed_moments(series, args.estimator, args.gamma)
+    moments, diagnostics = estimate_smoothed_moments(series, args.estimator)
     reason = None
     try:
         moments.validate()

@@ -20,7 +20,7 @@ import numpy as np
 from . import mtp
 from .maxima import Candidates, find_local_maxima
 from .model import NoiseSpec
-from .moments_est import ESTIMATORS, default_acf_lag_window, estimate_moments_acf
+from .moments_est import ESTIMATORS
 from .mtp import _METHODS
 from .nulldist import (
     InvalidMomentsError,
@@ -33,6 +33,10 @@ from .smoothing import DEFAULT_KERNEL_TRUNCATION, convolve, kernel_fits, make_ga
 
 __all__ = ["DetectorConfig", "DetectionResult", "detect", "estimate_smoothed_moments"]
 
+# Never called: perfbench/tracing.py lists this name in FUNCTIONS and looks it
+# up when it installs. ROADMAP item 1A deletes that entry and this line together.
+estimate_moments_acf = None
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -42,8 +46,8 @@ class DetectorConfig:
 
     - a ``NoiseSpec``: closed-form moments of that noise smoothed at
       ``gamma`` (use when the noise model is known);
-    - an estimator name (``"mad"``, ``"var"``, ``"acf"``,
-      ``"crossing"``): estimated from the smoothed series;
+    - an estimator name (``"mad"``, ``"var"``, ``"crossing"``):
+      estimated from the smoothed series;
     - an explicit ``SpectralMoments``.
     """
 
@@ -129,19 +133,12 @@ def _smooth(series, config: DetectorConfig):
     return smoothed, kernel
 
 
-def estimate_smoothed_moments(smoothed: SampledSeries, estimator: str, gamma: float | None = None):
+def estimate_smoothed_moments(smoothed: SampledSeries, estimator: str):
     """``(moments, diagnostics)`` of a named estimator on a smoothed series, the
     moments unchecked. Only the interior, outside the ``smoothed.boundary`` zone,
-    is used. The ``acf`` estimator needs the smoothing bandwidth ``gamma``, and
-    fits ``default_acf_lag_window(gamma, spacing)`` lags.
-    """
-    b, spacing = smoothed.boundary, smoothed.spacing
-    interior = smoothed.values[b : len(smoothed) - b]
-    if estimator != "acf":
-        return ESTIMATORS[estimator](interior, spacing)
-    if gamma is None:
-        raise ValueError("the acf estimator needs a bandwidth")
-    return estimate_moments_acf(interior, spacing, default_acf_lag_window(gamma, spacing))
+    is used."""
+    b = smoothed.boundary
+    return ESTIMATORS[estimator](smoothed.values[b : len(smoothed) - b], smoothed.spacing)
 
 
 def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:
@@ -151,7 +148,7 @@ def _resolve_moments(source, gamma, smoothed=None) -> SpectralMoments:
         return source.validate()
     if isinstance(source, NoiseSpec):
         return gaussian_model_moments(source, gamma)
-    moments, diagnostics = estimate_smoothed_moments(smoothed, source, gamma)
+    moments, diagnostics = estimate_smoothed_moments(smoothed, source)
     try:
         return moments.validate()
     except InvalidMomentsError as exc:

@@ -5,7 +5,7 @@ grid these estimators target the difference-quotient variances, which
 sit slightly below the continuous-time moments (the gap closes as the
 bandwidth grows relative to the spacing).
 
-Four methods:
+Three methods:
 
 ``mad``
     Robust: squared scaled median absolute deviation of the series,
@@ -13,9 +13,6 @@ Four methods:
 ``var``
     Same plan with sample variances; simple but sensitive to signal
     contamination.
-``acf``
-    Quartic polynomial fit to the empirical autocovariance near lag 0;
-    ``sigma2 = beta0``, ``lambda2 = -2 beta2``, ``lambda4 = 24 beta4``.
 ``crossing``
     Level-crossing counts inverted through the Rice formula, averaged
     over levels 0 and +-(2/3) sigma-hat.
@@ -40,9 +37,7 @@ __all__ = [
     "count_upcrossings",
     "estimate_moments_mad",
     "estimate_moments_var",
-    "estimate_moments_acf",
     "estimate_moments_crossing",
-    "default_acf_lag_window",
     "ESTIMATORS",
 ]
 
@@ -118,45 +113,6 @@ def estimate_moments_var(values: np.ndarray, spacing: float):
     return _difference_plan(_sample_variance, 4, values, spacing)
 
 
-def default_acf_lag_window(gamma: float, spacing: float) -> int:
-    """Default autocovariance fit window for a known smoothing bandwidth."""
-    return max(5, int(math.ceil(3.0 * gamma / spacing)))
-
-
-def acf_polynomial_fit(
-    acvf: np.ndarray, spacing: float
-) -> tuple[float, float, float]:
-    """Least-squares fit of ``c(s) = b0 + b2 s^2 + b4 s^4`` to an
-    autocovariance sampled at lags 0, 1, ..., len(acvf) - 1.
-
-    Returns ``(sigma2, lambda2, lambda4) = (b0, -2 b2, 24 b4)``, the
-    moment identities from the Taylor expansion of a smooth
-    autocovariance at 0.
-    """
-    acvf = np.asarray(acvf, dtype=float)
-    if acvf.size < 4:
-        raise ValueError("need at least 4 autocovariance lags (lag_window >= 3)")
-    s = spacing * np.arange(acvf.size)
-    design = np.column_stack((np.ones_like(s), s**2, s**4))
-    beta, *_ = np.linalg.lstsq(design, acvf, rcond=None)
-    return float(beta[0]), float(-2.0 * beta[1]), float(24.0 * beta[2])
-
-
-def estimate_moments_acf(values: np.ndarray, spacing: float, lag_window: int):
-    """Polynomial autocovariance fit over lags ``0..lag_window``."""
-    if lag_window < 3:
-        raise ValueError("lag_window must be >= 3")
-    n = len(values)
-    if n <= lag_window + 1:
-        raise ValueError("series too short for the requested lag window")
-    x = values - values.mean()
-    acvf = np.empty(lag_window + 1)
-    for k in range(lag_window + 1):
-        acvf[k] = np.dot(x[: n - k], x[k:]) / n
-    moments = SpectralMoments(*acf_polynomial_fit(acvf, spacing))
-    return moments, {"n": n, "lag_window": lag_window, "acvf_lag0": float(acvf[0])}
-
-
 def _crossing_rate(values: np.ndarray, sigma: float, duration: float):
     """Rice-averaged estimate of sqrt(var x' / var x).
 
@@ -213,6 +169,5 @@ def estimate_moments_crossing(values: np.ndarray, spacing: float):
 ESTIMATORS = {
     "mad": estimate_moments_mad,
     "var": estimate_moments_var,
-    "acf": estimate_moments_acf,
     "crossing": estimate_moments_crossing,
 }

@@ -1947,17 +1947,25 @@ class TestCliEstimateMoments:
         assert "need at least 4 samples" in err and "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_acf_needs_gamma(self, tmp_path, capsys, monkeypatch):
+    def test_acf_refused(self, tmp_path, capsys, monkeypatch):
+        # The acf estimator is gone: its name is an unknown choice on the
+        # command line and an unknown estimator in a config file, each
+        # refused before the input is read.
         src = tmp_path / "series.txt"
-        write_noise_file(src, n=500, seed=8)
-        assert main(["estimate-moments", str(src), "--estimator", "acf", "--gamma", "1.5"]) == 0
-        assert json.loads(capsys.readouterr().out)["diagnostics"]["lag_window"] == 5
-        # The usage error comes before the input is read.
+        write_noise_file(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 3.0, "moments_source": "acf"}))
         monkeypatch.setattr(cli, "load_series", refuse)
-        assert main(["estimate-moments", str(src), "--estimator", "acf"]) == 1
-        assert capsys.readouterr().err == "error: the acf estimator needs --gamma\n"
-        # The window follows from --gamma; the flag that set it is gone.
-        assert main(["estimate-moments", str(src), "--estimator", "acf", "--lag-window", "5"]) == 1
+        for argv in (
+            ["detect", str(src), "--gamma", "3", "--moments", "acf"],
+            ["estimate-moments", str(src), "--gamma", "3", "--estimator", "acf"],
+            ["detect", str(src), "--config", str(cfg)],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "acf" in errors[0] and "Traceback" not in err, err
+        assert err == "error: unknown moment estimator 'acf'\n"
 
 
 class TestCliPvalueTable:

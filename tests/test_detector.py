@@ -8,6 +8,7 @@ import pytest
 
 from peaksig import (
     DetectorConfig,
+    ESTIMATORS,
     Grid,
     InvalidMomentsError,
     NoiseSpec,
@@ -178,7 +179,7 @@ class TestMomentSources:
         want = gaussian_model_moments(NoiseSpec(sigma=1.0), 3.0)
         assert result.moments_used == want
 
-    @pytest.mark.parametrize("name", ["mad", "var", "acf", "crossing"])
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_estimator_sources(self, name):
         series = noise_series(20_000, seed=10)
         result = detect(series, DetectorConfig(gamma=3.0, moments_source=name))

@@ -5,9 +5,9 @@ scipy: direct convolution, a brute-force loop for maxima with the
 plateau rule, the height cdf through ``scipy.stats``, and textbook
 Bonferroni and BH. Random series, plain noise or noise with Gaussian
 bumps, go through the command line, and the JSON report must agree with
-the reference: candidates within one sample, p-values within 1e-6
-relative, the same rejected set. A series too short for the kernel must
-exit 1, and a ``mad`` estimate with ``Delta <= 0`` must exit 3.
+the reference: as many candidates, each within one sample, p-values
+within 1e-6 relative, the same rejected set. A series too short for the
+kernel must exit 1, and a ``mad`` estimate with ``Delta <= 0`` must exit 3.
 """
 
 import contextlib
@@ -71,6 +71,14 @@ def near_threshold(p: np.ndarray, method: str) -> int:
     return int(np.count_nonzero(np.isclose(np.sort(p), steps, rtol=1e-6, atol=0.0)))
 
 
+def near_ties(smoothed: np.ndarray, idx: np.ndarray) -> int:
+    """How many maxima at ``idx`` lie within 1e-12 relative of a neighbouring
+    sample: there a rounding step can move a maximum or merge it into a plateau."""
+    h = smoothed[idx]
+    near = [np.isclose(h, smoothed[idx + d], rtol=1e-12, atol=0.0) for d in (-1, 1)]
+    return int(np.count_nonzero(near[0] | near[1]))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -115,10 +123,14 @@ def test_detect_agrees_with_reference(seed, n, spacing, width, peaks, moments, m
         "p_value": np.array([r["p_value"] for r in rows], dtype=float),
         "rejected": np.array([r["rejected"] for r in rows], dtype=bool),
     }
-    if not reference.strict_maxima(smoothed, half):
+    ref_idx = np.array(reference.strict_maxima(smoothed, half), dtype=int)
+    assert ref_idx.size == got["index"].size and np.all(np.abs(got["index"] - ref_idx) <= 1), (
+        f"{got['index'].size} candidates reported, {ref_idx.size} in the reference, "
+        f"{near_ties(smoothed, ref_idx)} of them within 1e-12 relative of a neighbour"
+    )
+    if not ref_idx.size:
         # No family to test: the reference's rules would divide by m = 0.
         assert np.allclose(got["moments"], want, rtol=reference.MOMENT_RTOL, atol=0.0)
-        assert got["index"].size == got["rejected"].sum() == 0
         return
     source = ("noise", 1.0) if moments == "noise" else ("mad",)
     problems = reference.check_detection(values, spacing, gamma, source, method, got)

@@ -19,8 +19,6 @@ from peaksig import (
     SampledSeries,
     convolve,
     count_upcrossings,
-    default_acf_lag_window,
-    estimate_moments_acf,
     estimate_moments_crossing,
     estimate_moments_mad,
     estimate_moments_var,
@@ -85,17 +83,12 @@ class TestCountUpcrossings:
 
 
 class TestEquivariance:
-    """All four estimators commute with scaling; all are translation
+    """Every estimator commutes with scaling; each is translation
     invariant (exactly for differences, through the median for levels)."""
 
     @staticmethod
     def estimates(values):
-        return {
-            "mad": estimate_moments_mad(values, 1.0)[0],
-            "var": estimate_moments_var(values, 1.0)[0],
-            "acf": estimate_moments_acf(values, 1.0, lag_window=5)[0],
-            "crossing": estimate_moments_crossing(values, 1.0)[0],
-        }
+        return {name: fn(values, 1.0)[0] for name, fn in ESTIMATORS.items()}
 
     def test_scale_equivariance(self):
         base = smoothed_noise(20_000, seed=11).values
@@ -184,75 +177,23 @@ class TestCrossing:
             estimate_moments_crossing(np.array([1.0, 2.0, 1.0]), 1.0)
 
 
-class TestAcf:
-    def test_fit_to_analytic_autocovariance(self):
-        # Feeding the exact autocovariance of the xi = 1.5 model at lags
-        # 0..5 pins the polynomial fit's systematic errors: sigma2 comes
-        # back a few percent low, the curvature terms much lower. These
-        # are properties of the quartic fit window, not sampling noise.
-        from peaksig.moments_est import acf_polynomial_fit
-
-        xi = 1.5
-        lags = np.arange(6)
-        acvf = np.exp(-(lags**2) / (4.0 * xi**2)) / (2.0 * math.sqrt(math.pi) * xi)
-        sigma2, lambda2, lambda4 = acf_polynomial_fit(acvf, spacing=1.0)
-        assert sigma2 / TRUE_SIGMA2 - 1.0 == pytest.approx(-0.0256, abs=0.002)
-        assert lambda2 / TRUE_LAMBDA2 - 1.0 == pytest.approx(-0.2607, abs=0.005)
-        assert lambda4 / TRUE_LAMBDA4 - 1.0 == pytest.approx(-0.7011, abs=0.005)
-        # sigma2 is still within 15 percent; the derivative moments are
-        # biased low and downstream p-values inherit that.
-        assert abs(sigma2 / TRUE_SIGMA2 - 1.0) < 0.15
-
-    def test_on_sampled_noise(self):
-        s = smoothed_noise(1_000_000, seed=25)
-        m, _ = estimate_moments_acf(s.values, s.spacing, lag_window=5)
-        assert m.validate().sigma2 == pytest.approx(TRUE_SIGMA2 * (1 - 0.0256), rel=0.02)
-
-    def test_lag_window_too_small(self):
-        with pytest.raises(ValueError):
-            estimate_moments_acf(smoothed_noise(100, seed=1).values, 1.0, lag_window=2)
-
-    def test_series_too_short_for_window(self):
-        with pytest.raises(ValueError):
-            estimate_moments_acf(np.array([1.0, 2.0, 1.0, 2.0]), 1.0, lag_window=5)
-
-    def test_default_lag_window(self):
-        assert default_acf_lag_window(1.5, 1.0) == 5
-        assert default_acf_lag_window(3.0, 1.0) == 9
-        assert default_acf_lag_window(0.1, 1.0) == 5  # floor of 5
-
-    def test_diagnostics(self):
-        s = smoothed_noise(10_000, seed=26)
-        _, diagnostics = estimate_moments_acf(s.values, s.spacing, lag_window=5)
-        assert diagnostics["lag_window"] == 5
-        assert diagnostics["acvf_lag0"] == pytest.approx(
-            np.mean((s.values - s.values.mean()) ** 2), rel=1e-9
-        )
-
-
-def estimate(name, values, spacing=1.0):
-    """``ESTIMATORS[name]`` on ``values``; ``acf`` fits lags 0..5."""
-    fn = ESTIMATORS[name]
-    return fn(values, spacing, 5) if name == "acf" else fn(values, spacing)
-
-
 class TestDegenerateFlagging:
     """Estimators return the triple unchecked; ``validate()`` refuses it."""
 
     def test_constant_series_flagged_not_raised(self):
-        for name in ESTIMATORS:
-            m, _ = estimate(name, np.full(50, 3.0))
+        for fn in ESTIMATORS.values():
+            m, _ = fn(np.full(50, 3.0), 1.0)
             with pytest.raises(InvalidMomentsError):
                 m.validate()
 
-    @pytest.mark.parametrize("name", ["mad", "var", "crossing"])
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
     @pytest.mark.parametrize("scale, spacing", [(1e200, 1.0), (1.0, 1e-200), (1e10, 1e-300)])
     def test_past_the_float_range_flagged_without_warning(self, name, scale, spacing):
         # Squares of 1e200, or quotients by 1e-200 or 1e-300, leave the float range.
         v = np.random.default_rng(3).normal(size=200) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            m, _ = estimate(name, v, spacing)
+            m, _ = ESTIMATORS[name](v, spacing)
         with pytest.raises(InvalidMomentsError):
             m.validate()
 
@@ -260,8 +201,8 @@ class TestDegenerateFlagging:
         # detect passes a view of its smoothed series: no estimator writes to it.
         values = smoothed_noise(50_000, seed=27).values
         before = values.copy()
-        for name in ESTIMATORS:
-            estimate(name, values[100:-100])[0].validate()
+        for name, fn in ESTIMATORS.items():
+            fn(values[100:-100], 1.0)[0].validate()
             assert values.tobytes() == before.tobytes(), name
 
 

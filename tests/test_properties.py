@@ -29,6 +29,7 @@ from peaksig import (
     Candidates,
     DetectionResult,
     DetectorConfig,
+    ESTIMATORS,
     Grid,
     InvalidMomentsError,
     RunCounts,
@@ -203,7 +204,7 @@ def assert_same_bits(got, want):
 @given(
     st.integers(0, 2**20),
     st.integers(-400, 400),
-    st.sampled_from(["mad", "var", "crossing", "model"]),
+    st.sampled_from([*ESTIMATORS, "model"]),
     st.floats(0.5, 2.0),
 )
 def test_detect_exact_under_power_of_two_data_scaling(seed, k, source, sigma):
@@ -237,7 +238,7 @@ def time_scaled(source, k: int):
     st.integers(-40, 40),
     st.floats(-1e6, 1e6),
     st.floats(1.5, 10.0),
-    st.sampled_from(["mad", "var", "crossing", "model"]),
+    st.sampled_from([*ESTIMATORS, "model"]),
 )
 def test_detect_exact_under_power_of_two_time_scaling_and_shift(seed, k, origin, gamma, source):
     series = seeded_series(seed)
@@ -270,7 +271,7 @@ def outcome_or_refused(series: SampledSeries, gamma: float, source):
 # sigma2 is near or below the smallest normal float; at a time scale of
 # 2^254 and beyond, lambda4 is. At 2^-506 (time scale 2^253) the moments
 # are normal, but some squared deviations that var sums are not.
-@pytest.mark.parametrize("source", ["mad", "var", "crossing", "model"])
+@pytest.mark.parametrize("source", [*ESTIMATORS, "model"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**20), k=st.integers(-1074, 1023))
 @example(seed=0, k=-532)
@@ -294,7 +295,7 @@ def test_detect_exact_or_refused_under_any_data_scaling(source, seed, k):
 
 
 # At a time scale of 2^-210 the model's xi^5 is subnormal and is refused.
-@pytest.mark.parametrize("source", ["mad", "var", "crossing", "model"])
+@pytest.mark.parametrize("source", [*ESTIMATORS, "model"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**20), k=st.integers(-1022, 1012), gamma=st.floats(1.5, 10.0))
 @example(seed=0, k=254, gamma=3.0)

@@ -33,7 +33,7 @@ def test_tracer_reports_every_layer_and_restores_bindings(tmp_path, monkeypatch)
     tracer.install()
     try:
         assert all(getattr(modules[m], a) is not before[m, a] for m, a in names)
-        for job, flags in (("known", ["--noise-sigma", "1"]), ("acf", ["--moments", "acf"])):
+        for job, flags in (("known", ["--noise-sigma", "1"]), ("mad", ["--moments", "mad"])):
             tracer.job = job
             out = tmp_path / f"{job}.json"
             argv = ["detect", str(src), "--gamma", "3", *flags, "--output", str(out)]
@@ -45,12 +45,12 @@ def test_tracer_reports_every_layer_and_restores_bindings(tmp_path, monkeypatch)
 
     assert all(getattr(modules[m], a) is before[m, a] for m, a in names)
     layers = job_layers(tracer.spans)
-    for job in ("known", "acf"):
+    for job in ("known", "mad"):
         assert {"maxima.find_s", "nulldist.pvalue_s", "mtp.decide_s"} <= set(layers[job])
         assert layers[job]["maxima.candidates"] > 0
         assert layers[job]["mtp.num_tests"] == layers[job]["maxima.candidates"]
         assert layers[job]["io.input_mb"] > 0 and layers[job]["io.report_mb"] > 0
-    assert "moments_est.estimate_s" in layers["acf"]
+    assert "moments_est.estimate_s" in layers["mad"]
     assert "moments_est.estimate_s" not in layers["known"]
     sim = layers["sim"]
     assert {"model.noise_s", "maxima.find_s", "nulldist.pvalue_s"} <= set(sim)
