@@ -4,15 +4,16 @@ Two input formats: ``plain`` (one value per line, spacing supplied out
 of band) and ``csv`` (``time,value`` rows, no header; the time column
 must be uniformly spaced to 1e-6 of the spacing, plus a few ulps of the
 largest time so that epoch timestamps pass). Both are read as UTF-8,
-with or without a leading byte-order mark, and reject non-finite
-values, naming the first offending line. A file of 1 MiB or more is
-parsed as two halves on two cores, the second in a forked child, with
-the same result as one pass. Reports go out as JSON
-(self-contained) or CSV (tabular rows plus a ``.manifest.json`` sidecar
-carrying the provenance block: tool, version, UTC timestamp, input
-digest, configuration echo), JSON to a path or an open text stream
-such as stdout, CSV to a path. A report of ``_SPLIT_MIN_ROWS`` rows or
-more is formatted on two cores the same way, with the same bytes.
+with or without a leading byte-order mark, from a regular file only (a
+pipe could not be read twice), and reject non-finite values,
+naming the first offending line. A file of 1 MiB or more is parsed as
+two halves on two cores, the second in a forked child, with the same
+result as one pass. Reports go out as JSON (self-contained) or CSV
+(tabular rows plus a ``.manifest.json`` sidecar carrying the provenance
+block: tool, version, UTC timestamp, input digest, configuration echo),
+JSON to a path or an open text stream such as stdout, CSV to a path.
+The input is hashed first; a report of ``_SPLIT_MIN_ROWS`` rows or more
+is then formatted on two cores the same way, with the same bytes.
 :func:`write_json` and :func:`write_table` write the other commands' output.
 
 JSON uses the stdlib encoder, so infinite thresholds round-trip as
@@ -26,6 +27,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import threading
 import warnings
 from datetime import datetime, timezone
@@ -343,6 +345,8 @@ def load_series(path, fmt: str = "plain", spacing: float = 1.0, origin: float = 
     ``spacing`` and ``origin`` apply to the ``plain`` format only; the
     ``csv`` format carries its own time column.
     """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise SeriesFormatError(f"{path}: not a regular file; save a pipe or device to a file first")
     if fmt == "plain":
         return _load_plain(path, spacing, origin)
     if fmt == "csv":
@@ -514,49 +518,45 @@ def write_detection_report(
     ``<path>.manifest.json``. Rows are streamed from the candidate
     columns in blocks, never built as per-candidate objects.
 
-    At least ``_SPLIT_MIN_ROWS`` rows are formatted on two cores: a forked
-    child formats the second half of the rows while this process hashes
-    the input and writes the head and the first half, and then
-    copies the child's text after them. Whatever the child does not
-    deliver, because the fork failed or the child did not exit cleanly,
-    is formatted here, so the bytes never depend on the split.
+    The input is hashed before the output is opened, so a report may
+    overwrite its input. At least ``_SPLIT_MIN_ROWS`` rows are formatted
+    on two cores: a forked child formats the second half while this
+    process writes the head and the first half, then copies the child's
+    text after them. What the child does not deliver (a failed fork, an
+    unclean exit) is formatted here, so the bytes never depend on the split.
     """
     if fmt not in _ROW_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
     # A CSV report's manifest goes beside it, so a stream is refused at once.
     manifest_path = os.fspath(path) + ".manifest.json" if fmt == "csv" else None
+    # Hashed before the output is opened: the report may overwrite its own input.
+    head = _report_head(result, input_path, file_sha256(input_path) if input_path else None)
     candidates = result.candidates
     n = len(candidates)
     seam = n
-    with contextlib.ExitStack() as outputs:
-
-        def write_front():
-            digest = file_sha256(input_path) if input_path else None
-            head = _report_head(result, input_path, digest)
-            # Opened only now: the report may overwrite its own input.
-            fh = outputs.enter_context(_text_output(path, "" if fmt == "csv" else None))
-            if fmt == "json":
-                # ``head`` dumps to "{...\n}"; reopen it and append the rows as its last key.
-                fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "maxima": [')
-            else:
-                fh.write(",".join(_ROW_FIELDS) + "\r\n")
-            _write_rows(fh, candidates, 0, seam, fmt, 1 if fmt == "json" else 0)
-            return head, fh
+    skip = 1 if fmt == "json" else 0
+    copied, ok = None, True  # ok: no rows are left to a child
+    with _text_output(path, "" if fmt == "csv" else None) as fh:
+        if fmt == "json":
+            # ``head`` dumps to "{...\n}"; reopen it and append the rows as its last key.
+            fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "maxima": [')
+        else:
+            fh.write(",".join(_ROW_FIELDS) + "\r\n")
 
         def front_then_copy(pipe):
-            head, fh = write_front()
-            return head, fh, _copy_text(pipe, fh)
+            _write_rows(fh, candidates, 0, seam, fmt, skip)
+            return _copy_text(pipe, fh)
 
-        front, ok = None, True  # ok: no rows are left to a child
         if n >= _SPLIT_MIN_ROWS and _can_fork():
             seam = max(1, n // 2)
-            front, ok = _beside_child(
+            copied, ok = _beside_child(
                 lambda: [text.encode("ascii") for text in _row_blocks(candidates, seam, n, fmt)],
                 front_then_copy,
             )
-        head, fh, copied = front or (*write_front(), 0)
+        if copied is None:  # no child ran
+            _write_rows(fh, candidates, 0, seam, fmt, skip)
         if not ok:
-            _write_rows(fh, candidates, seam, n, fmt, copied)
+            _write_rows(fh, candidates, seam, n, fmt, copied or 0)
         if fmt == "json":
             fh.write("\n  ]\n}\n" if n else "]\n}\n")
     if fmt == "csv":

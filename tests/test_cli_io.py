@@ -677,6 +677,38 @@ class TestSplitReport:
         assert manifest["input"]["sha256"] == digest
         assert len(split_reports[0]) == 1, fork_state()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_command_may_overwrite_its_input(self, tmp_path, split_small, monkeypatch, fmt):
+        # The whole command, with the input parsed in halves and the report
+        # formatted in halves: the input is hashed before it is overwritten.
+        monkeypatch.setattr(peaksig_io, "_SPLIT_MIN_ROWS", 0)
+        src, elsewhere = tmp_path / "series.txt", tmp_path / f"elsewhere.{fmt}"
+        write_noise_file(src)
+        digest = file_sha256(src)
+        argv = ["detect", str(src), "--gamma", "3", "--noise-sigma", "1", "--output-format", fmt]
+        assert main([*argv, "--output", str(elsewhere)]) == 0
+        forks_before_report = []
+        write_report = cli.write_detection_report
+
+        def recorded(*args, **kwargs):
+            forks_before_report.append(len(split_small))
+            write_report(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_detection_report", recorded)
+        split_small.clear()
+        assert main([*argv, "--output", str(src)]) == 0
+        assert forks_before_report == [1] and len(split_small) == 2, fork_state()
+        head = src if fmt == "json" else tmp_path / "series.txt.manifest.json"
+        assert json.loads(head.read_text())["input"]["sha256"] == digest
+
+        def masked(path):  # the report, manifest included, ``created_utc`` masked
+            data = path.read_bytes()
+            if fmt == "csv":
+                data += b"\0" + path.with_name(path.name + ".manifest.json").read_bytes()
+            return _CREATED.sub(b"", data)
+
+        assert masked(src) == masked(elsewhere)
+
     @pytest.mark.parametrize("target", REPORT_TARGETS)
     def test_failed_fork_formats_serially(self, tmp_path, split_reports, monkeypatch, target):
         result = made_up_result(70)
@@ -715,10 +747,10 @@ class TestSplitReport:
         src = tmp_path / "input.txt"
         src.write_bytes(b"0.5\n")
 
-        def interrupted(path):  # the parent hashes; the child formats on
+        def interrupted(*args):  # the parent writes its rows; the child formats on
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(peaksig_io, "file_sha256", interrupted)
+        monkeypatch.setattr(peaksig_io, "_write_rows", interrupted)
         # A slow child is killed, not waited for.
         monkeypatch.setattr(
             peaksig_io, "_beside_child", child_parts(lambda parts: time.sleep(60) or parts)
@@ -822,6 +854,29 @@ def test_huge_bandwidth_refused_before_any_kernel(tmp_path, capsys, command, gam
     assert code == 1
     assert refusal in capsys.readouterr().err
     assert peak < 8 << 20
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd paths")
+@pytest.mark.parametrize(
+    "command", [["detect", "--gamma", "3", "--noise-sigma", "1"], ["estimate-moments"]],
+    ids=lambda c: c[0],
+)
+def test_pipe_refused(tmp_path, capsys, command):
+    # A pipe can be read once, but the input is parsed, maybe parsed again
+    # line by line, and hashed: it is refused before any of that.
+    out = tmp_path / "out.json"
+    read_fd, write_fd = os.pipe()
+    try:
+        with open(write_fd, "wb") as pipe:  # 300 samples fit in the pipe's buffer
+            values = synthesize_noise(NoiseSpec(), Grid(300), seed=2).values.tolist()
+            pipe.write(b"".join(b"%r\n" % v for v in values))
+        argv = [command[0], f"/dev/fd/{read_fd}", *command[1:], "--output", str(out)]
+        assert main(argv) == 2
+    finally:
+        os.close(read_fd)
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "not a regular file" in err, err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize(
