@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulldist import SpectralMoments, _law, expected_num_maxima, peak_height_right_cdf_inverse
+from .nulldist import SpectralMoments, _HeightLaw, expected_num_maxima, peak_height_right_cdf_inverse
 from .series import _open_unit, _positive
 
 __all__ = [
@@ -67,6 +67,7 @@ def _height_threshold(
 ) -> float | None:
     if moments is None:
         return None
+    moments.validate()  # refused whether or not anything is rejected
     if not (0.0 < p_threshold < 1.0):
         # Nothing rejectable in height space: m = 0 or an empty step-up set.
         return math.inf
@@ -177,15 +178,15 @@ def bonferroni_approx_threshold(
     deterministic threshold by a few percent at moderate lengths.
     """
     _open_unit(alpha, "alpha")
-    sigma, *_, rate = _law(m)
+    law = _HeightLaw(m)
     _positive(length, "length")
-    log_arg = math.log(length) - math.log(alpha) + math.log(rate) - 0.5 * math.log(2.0 * math.pi)
+    log_arg = math.log(length) - math.log(alpha) + math.log(law.root_rate) - 0.5 * math.log(2.0 * math.pi)
     if not log_arg > 0.0:
         raise ValueError(
             "approximation domain error: (L/alpha) sqrt(lambda2/(2 pi sigma2)) "
             "must exceed 1"
         )
-    return sigma * math.sqrt(2.0 * log_arg)
+    return law.sigma * math.sqrt(2.0 * log_arg)
 
 
 def asymptotic_bh_threshold(

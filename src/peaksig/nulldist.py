@@ -26,11 +26,11 @@ bandwidth ``gamma``, combined bandwidth ``xi = sqrt(gamma^2 + nu^2)``,
     lambda2 = sigma^2 / (4 sqrt(pi) xi^3)
     lambda4 = 3 sigma^2 / (8 sqrt(pi) xi^5)
 
-The law depends on the moments only through ``u / sigma`` and ``lambda2 /
-(sigma sqrt(lambda4))``. :func:`_law` forms it on the moments divided by
-``4^k``, ``k = frexp(sigma2)[1] // 2``, and ``lambda2``, ``lambda4`` also by
-``4^h``, ``16^h``, ``h`` from ``lambda4``'s exponent: exact, so power-of-two
-units of data or time move no bit, and no product of feasible moments overflows.
+The law depends on the moments only through ``u / sigma`` and ``lambda2 / (sigma
+sqrt(lambda4))``. :class:`_HeightLaw`, the one judge of a triple, forms it and the Rice
+rates on the moments divided by ``4^k``, ``k = frexp(sigma2)[1] // 2``, and ``lambda2``,
+``lambda4`` also by ``4^h``, ``16^h``, ``h`` from ``lambda4``'s exponent: exact, so
+power-of-two units of data or time move no bit, and no product of feasible moments overflows.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class SpectralMoments:
     lambda4: float
 
     def validate(self) -> "SpectralMoments":
-        _law(self)
+        _HeightLaw(self)
         return self
 
 
@@ -105,31 +105,41 @@ def gaussian_model_moments(noise: NoiseSpec, gamma: float) -> SpectralMoments:
         ) from None
 
 
-def _law(m: SpectralMoments):
-    """Check ``m``: each moment a positive normal float, and ``Delta > 0``. Return the
-    law's ``(sigma, a_curv, a_mix, amp)`` and the Rice rates ``sqrt(lambda4 / lambda2)``,
-    ``sqrt(lambda2 / sigma2)``, as quotients of roots: finite where the true rates are."""
-    for name, v in vars(m).items():
-        # Python float bounds compare exactly with an int, so one past the range is refused.
-        if not sys.float_info.min <= v <= sys.float_info.max:
-            raise InvalidMomentsError(f"{name} must be a positive normal float, got {v!r}")
-    k = math.frexp(m.sigma2)[1] // 2
-    h = (math.frexp(m.lambda4)[1] - 2 * k) // 4
-    s2, l4 = math.ldexp(m.sigma2, -2 * k), math.ldexp(m.lambda4, -2 * (k + 2 * h))
-    # Feasible moments rescale lambda2 below 4: refuse 8 or more before it overflows.
-    e = math.frexp(m.lambda2)[1] - 2 * (k + h)
-    q = math.inf
-    if e <= 3:
-        r = math.ldexp(m.lambda2, -2 * (k + h))
-        q = r * r  # a product, as in gaussian_model_moments
-    delta = s2 * l4 - q
-    if not delta > 0:
-        raise InvalidMomentsError("sigma2 * lambda4 - lambda2^2 must be positive")
-    a_curv = math.ldexp(math.sqrt(l4 / delta), -k)
-    a_mix = math.ldexp(math.sqrt(q / (delta * s2)), -k)
-    amp = math.sqrt(2.0 * math.pi * q / (l4 * s2))
-    sigma, root2 = math.sqrt(m.sigma2), math.sqrt(m.lambda2)
-    return sigma, a_curv, a_mix, amp, math.sqrt(m.lambda4) / root2, root2 / sigma
+class _HeightLaw:
+    """Check ``m``: each moment a positive normal float, and ``Delta > 0``. Hold the law's
+    ``sigma``, ``a_curv``, ``a_mix``, ``amp`` and the Rice rates ``rate = sqrt(lambda4 / lambda2)``,
+    ``root_rate = sqrt(lambda2 / sigma2)``, as quotients of roots: finite where the true rates are."""
+
+    def __init__(self, m: SpectralMoments):
+        for name, v in vars(m).items():
+            # Python float bounds compare exactly with an int, so one past the range is refused.
+            if not sys.float_info.min <= v <= sys.float_info.max:
+                raise InvalidMomentsError(f"{name} must be a positive normal float, got {v!r}")
+        k = math.frexp(m.sigma2)[1] // 2
+        h = (math.frexp(m.lambda4)[1] - 2 * k) // 4
+        s2, l4 = math.ldexp(m.sigma2, -2 * k), math.ldexp(m.lambda4, -2 * (k + 2 * h))
+        # Feasible moments rescale lambda2 below 4: refuse 8 or more before it overflows.
+        e = math.frexp(m.lambda2)[1] - 2 * (k + h)
+        q = math.inf
+        if e <= 3:
+            r = math.ldexp(m.lambda2, -2 * (k + h))
+            q = r * r  # a product, as in gaussian_model_moments
+        delta = s2 * l4 - q
+        if not delta > 0:
+            raise InvalidMomentsError("sigma2 * lambda4 - lambda2^2 must be positive")
+        self.a_curv = math.ldexp(math.sqrt(l4 / delta), -k)
+        self.a_mix = math.ldexp(math.sqrt(q / (delta * s2)), -k)
+        self.amp = math.sqrt(2.0 * math.pi * q / (l4 * s2))
+        self.sigma, root2 = math.sqrt(m.sigma2), math.sqrt(m.lambda2)
+        self.rate, self.root_rate = math.sqrt(m.lambda4) / root2, root2 / self.sigma
+
+    def log_right_cdf(self, u: float) -> float:
+        """log F(u), stable far into the upper tail."""
+        x = u / self.sigma
+        t1 = log_ndtr(-self.a_curv * u)
+        log_amp = math.log(self.amp) if self.amp > 0.0 else -math.inf  # amp underflows with lambda2^2
+        t2 = log_amp - 0.5 * x * x - _LOG_SQRT_2PI + log_ndtr(self.a_mix * u)
+        return min(np.logaddexp(t1, t2), 0.0)
 
 
 def peak_height_right_cdf(m: SpectralMoments, u):
@@ -138,25 +148,15 @@ def peak_height_right_cdf(m: SpectralMoments, u):
     Vectorized over ``u``. The result is clamped to [0, 1]; the raw
     expression can stray by up to ~1e-12 from rounding.
     """
-    sigma, a_curv, a_mix, amp = _law(m)[:4]
+    law = _HeightLaw(m)
     # Past 1e100 sigma the law reads exactly 0 or 1 (a_curv sigma >= 1); the
     # clip keeps x * x and the ndtr arguments finite.
-    u = np.clip(np.asarray(u, dtype=float), -1e100 * sigma, 1e100 * sigma)
-    x = np.abs(u) / sigma
-    phi = amp * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    f = ndtr(-a_curv * u) + phi * ndtr(a_mix * u)
+    u = np.clip(np.asarray(u, dtype=float), -1e100 * law.sigma, 1e100 * law.sigma)
+    x = np.abs(u) / law.sigma
+    phi = law.amp * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+    f = ndtr(-law.a_curv * u) + phi * ndtr(law.a_mix * u)
     out = np.clip(f, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def _log_right_cdf(law, u: float) -> float:
-    """log F(u) for the ``_law`` coefficients, stable far into the upper tail."""
-    sigma, a_curv, a_mix, amp = law[:4]
-    x = u / sigma
-    t1 = log_ndtr(-a_curv * u)
-    log_amp = math.log(amp) if amp > 0.0 else -math.inf  # amp underflows with lambda2^2
-    t2 = log_amp - 0.5 * x * x - _LOG_SQRT_2PI + log_ndtr(a_mix * u)
-    return min(np.logaddexp(t1, t2), 0.0)
 
 
 def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
@@ -170,14 +170,14 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
     absolute one. Comparisons are done on log F, so thresholds deep in
     the tail do not underflow.
     """
-    law = _law(m)
+    law = _HeightLaw(m)
     _open_unit(p, "p")
     log_p = math.log(p)
-    lo, hi = (0.0, law[0]) if _log_right_cdf(law, 0.0) >= log_p else (-law[0], 0.0)
+    lo, hi = (0.0, law.sigma) if law.log_right_cdf(0.0) >= log_p else (-law.sigma, 0.0)
     for _ in range(200):
-        if _log_right_cdf(law, hi) >= log_p:
+        if law.log_right_cdf(hi) >= log_p:
             hi *= 2.0
-        elif _log_right_cdf(law, lo) < log_p:
+        elif law.log_right_cdf(lo) < log_p:
             lo *= 2.0
         else:
             break
@@ -186,7 +186,7 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
     # Invariant: F(lo) >= p > F(hi).
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        log_f = _log_right_cdf(law, mid)
+        log_f = law.log_right_cdf(mid)
         if abs(math.exp(log_f) - p) <= 1e-12 and abs(log_f - log_p) <= 1e-6:
             return mid
         if log_f >= log_p:
@@ -199,7 +199,7 @@ def peak_height_right_cdf_inverse(m: SpectralMoments, p: float) -> float:
 def expected_num_maxima(m: SpectralMoments, length: float) -> float:
     """Expected number of local maxima on a stretch of given length."""
     _positive(length, "length")
-    return length / (2.0 * math.pi) * _law(m)[4]
+    return length / (2.0 * math.pi) * _HeightLaw(m).rate
 
 
 def assign_pvalues(maxima: Candidates, m: SpectralMoments) -> Candidates:

@@ -11,13 +11,18 @@ from peaksig import (
     Candidates,
     NoiseSpec,
     SpectralMoments,
+    asymptotic_bh_threshold,
     assign_pvalues,
+    bh,
+    bonferroni,
+    bonferroni_approx_threshold,
+    bonferroni_deterministic_threshold,
     expected_num_maxima,
     gaussian_model_moments,
     peak_height_right_cdf,
     peak_height_right_cdf_inverse,
 )
-from peaksig.nulldist import _law
+from peaksig.nulldist import _HeightLaw
 
 # F(0) = 1/2 + 1/(2 sqrt 3) for the Gaussian-autocorrelation model,
 # where lambda2^2 / (sigma2 lambda4) = 1/3 for every bandwidth.
@@ -99,11 +104,14 @@ class TestGaussianModelMoments:
             rng.uniform(0.0, 5.0, 20_000).tolist(),
             (2 * rng.integers(-10, 11, 20_000)).tolist(),
         )
+        def coefficients(law):
+            return law.sigma, law.a_curv, law.a_mix, law.amp
+
         for g, nu, t in draws:
-            base = _law(model_moments(1.0, nu, g))[:4]
+            base = coefficients(_HeightLaw(model_moments(1.0, nu, g)))
             scale = math.ldexp(1.0, t)
             scaled = model_moments(math.ldexp(1.0, t // 2), scale * nu, scale * g)
-            assert _law(scaled)[:4] == base, (g, nu, t)
+            assert coefficients(_HeightLaw(scaled)) == base, (g, nu, t)
 
     def test_normal_moments_with_underflowing_delta_accepted(self):
         # sigma2 * lambda4 underflows at gamma 1e60, but each moment is a
@@ -112,30 +120,52 @@ class TestGaussianModelMoments:
         assert peak_height_right_cdf(m, 0.0) == pytest.approx(F_AT_ZERO, abs=1e-12)
 
 
+BAD_TRIPLES = [
+    (0.0, 0.5, 1.0),
+    (1.0, -0.5, 1.0),
+    (1.0, 0.5, 0.0),
+    (np.nan, 0.5, 1.0),
+    (1.0, 1.0, 1.0),  # delta = 0
+    (1.0, 2.0, 1.0),  # delta < 0
+    (1.0, 1e200, 1.0),  # lambda2^2 overflows
+    (1e-300, 1e10, 1e-300),  # lambda2 overflows once rescaled
+    (1e-310, 1e-311, 1e-310),  # subnormal
+    (1.0, 5e-324, 1.0),  # subnormal lambda2, though Delta > 0
+    (10**400, 1.0, 1.0),  # an int past the float range
+]
+
+# Every public entry point that reads moments, with its other arguments valid.
+# Bonferroni and BH judge the moments whether or not they reject anything.
+MOMENT_READERS = {
+    "right_cdf": lambda m: peak_height_right_cdf(m, 0.0),
+    "inverse": lambda m: peak_height_right_cdf_inverse(m, 0.5),
+    "expected_num_maxima": lambda m: expected_num_maxima(m, 100.0),
+    "deterministic_threshold": lambda m: bonferroni_deterministic_threshold(m, 2000.0, 0.05),
+    "approx_threshold": lambda m: bonferroni_approx_threshold(m, 2000.0, 0.05),
+    "asymptotic_bh_threshold": lambda m: asymptotic_bh_threshold(m, 0.01, 0.05),
+    **{
+        f"{rule.__name__}-{label}": lambda m, rule=rule, p=p: rule(p, 0.05, moments=m)
+        for rule in (bonferroni, bh)
+        for label, p in (("empty", []), ("0.9", [0.9]), ("1e-9", [1e-9]))
+    },
+}
+
+
 class TestSpectralMoments:
     def test_validate_passes_through(self):
         m = SpectralMoments(1.0, 0.5, 1.0)
         assert m.validate() is m
 
-    @pytest.mark.parametrize(
-        "triple",
-        [
-            (0.0, 0.5, 1.0),
-            (1.0, -0.5, 1.0),
-            (1.0, 0.5, 0.0),
-            (np.nan, 0.5, 1.0),
-            (1.0, 1.0, 1.0),  # delta = 0
-            (1.0, 2.0, 1.0),  # delta < 0
-            (1.0, 1e200, 1.0),  # lambda2^2 overflows
-            (1e-300, 1e10, 1e-300),  # lambda2 overflows once rescaled
-            (1e-310, 1e-311, 1e-310),  # subnormal
-            (1.0, 5e-324, 1.0),  # subnormal lambda2, though Delta > 0
-            (10**400, 1.0, 1.0),  # an int past the float range
-        ],
-    )
+    @pytest.mark.parametrize("triple", BAD_TRIPLES)
     def test_validate_rejects(self, triple):
         with pytest.raises(InvalidMomentsError):
             SpectralMoments(*triple).validate()
+
+    @pytest.mark.parametrize("triple", BAD_TRIPLES)
+    @pytest.mark.parametrize("reader", MOMENT_READERS)
+    def test_every_reader_rejects(self, reader, triple):
+        with pytest.raises(InvalidMomentsError):
+            MOMENT_READERS[reader](SpectralMoments(*triple))
 
     @pytest.mark.parametrize("name", ["sigma2", "lambda2", "lambda4"])
     def test_smallest_normal_accepted_subnormal_refused(self, name):
@@ -371,6 +401,158 @@ class TestInverse:
     def test_rejects_bad_p(self, p):
         with pytest.raises(ValueError):
             peak_height_right_cdf_inverse(model_moments(), p)
+
+
+# F(u) at NoiseSpec(1, nu) and bandwidth gamma, at u = h sigma for each h
+# below (40 and 45 read exactly 0), then the Rice count on length 2000 and
+# the approximate Bonferroni threshold at length 2000, alpha 0.05: pinned bit
+# for bit at INVERSE_BITS's (gamma, nu) pairs.
+FORWARD_HEIGHTS = (
+    -6, -4, -3, -2, -1.5, -1, -0.5, -0.25, 0, 0.25, 0.5, 1, 1.5, 2, 2.5,
+    3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 35, 38, 40, 45,
+)
+FORWARD_BITS = {
+    (0.7, 0.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e65p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651966p-1", "0x1.b8bb1c1efb1c1p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb41p-2",
+        "0x1.8c36fba622c57p-3", "0x1.442beb3e08376p-4", "0x1.a19c4fc4af044p-6",
+        "0x1.a506fd27f5d86p-8", "0x1.963c422edceffp-13", "0x1.20c8885e27a5bp-19",
+        "0x1.2e205ce4450f4p-27", "0x1.076e279e585f2p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2ca8bp-105", "0x1.df25d0062a6ffp-164", "0x1.96e4f69aa3fc8p-290",
+        "0x1.49c53e856efd1p-452", "0x1.fe23ecaa2fb21p-651", "0x1.78940dfc23a61p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.1676908f25295p+9", "0x1.65ac41b5e5dc3p+1",
+    ),
+    (1.5, 0.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e66p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651967p-1", "0x1.b8bb1c1efb1c2p-1", "0x1.93cd3a2c8198fp-1",
+        "0x1.65c71620d19fbp-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb41p-2",
+        "0x1.8c36fba622c57p-3", "0x1.442beb3e08376p-4", "0x1.a19c4fc4af046p-6",
+        "0x1.a506fd27f5d87p-8", "0x1.963c422edcf00p-13", "0x1.20c8885e27a5dp-19",
+        "0x1.2e205ce4450f6p-27", "0x1.076e279e585f3p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2ca8dp-105", "0x1.df25d0062a7f2p-164", "0x1.96e4f69aa3fcap-290",
+        "0x1.49c53e856efd3p-452", "0x1.fe23ecaa2ff20p-651", "0x1.78940dfc23a63p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.03e620859a268p+8", "0x1.d50ef77636bbap+0",
+    ),
+    (3.0, 0.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e66p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651967p-1", "0x1.b8bb1c1efb1c2p-1", "0x1.93cd3a2c8198fp-1",
+        "0x1.65c71620d19fbp-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb41p-2",
+        "0x1.8c36fba622c57p-3", "0x1.442beb3e08376p-4", "0x1.a19c4fc4af046p-6",
+        "0x1.a506fd27f5d87p-8", "0x1.963c422edcf00p-13", "0x1.20c8885e27a5dp-19",
+        "0x1.2e205ce4450f6p-27", "0x1.076e279e585f3p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2ca8dp-105", "0x1.df25d0062a703p-164", "0x1.96e4f69aa3fcap-290",
+        "0x1.49c53e856efd3p-452", "0x1.fe23ecaa2fb24p-651", "0x1.78940dfc23a63p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.03e620859a268p+7", "0x1.3e891ec2d6240p+0",
+    ),
+    (6.5, 0.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e65p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651966p-1", "0x1.b8bb1c1efb1c1p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb41p-2",
+        "0x1.8c36fba622c57p-3", "0x1.442beb3e08376p-4", "0x1.a19c4fc4af044p-6",
+        "0x1.a506fd27f5d86p-8", "0x1.963c422edceffp-13", "0x1.20c8885e27a5bp-19",
+        "0x1.2e205ce4450f4p-27", "0x1.076e279e585f2p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2ca8bp-105", "0x1.df25d0062a7f0p-164", "0x1.96e4f69aa3fc8p-290",
+        "0x1.49c53e856efd1p-452", "0x1.fe23ecaa2ff1ep-651", "0x1.78940dfc23a61p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.dfd03c0a57a98p+5", "0x1.9bfab692faa46p-1",
+    ),
+    (30.0, 0.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e65p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651966p-1", "0x1.b8bb1c1efb1c1p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb40p-2",
+        "0x1.8c36fba622c57p-3", "0x1.442beb3e08375p-4", "0x1.a19c4fc4af043p-6",
+        "0x1.a506fd27f5d86p-8", "0x1.963c422edceffp-13", "0x1.20c8885e27a5bp-19",
+        "0x1.2e205ce4450f4p-27", "0x1.076e279e585f2p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2ca8bp-105", "0x1.df25d0062a6ffp-164", "0x1.96e4f69aa3fc8p-290",
+        "0x1.49c53e856efd1p-452", "0x1.fe23ecaa2fb21p-651", "0x1.78940dfc23a61p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.9fd69a6f5d0a7p+3", "0x1.55f5fe7ccdba9p-2",
+    ),
+    (0.7, 1.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e66p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651967p-1", "0x1.b8bb1c1efb1c2p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb41p-2",
+        "0x1.8c36fba622c57p-3", "0x1.442beb3e08376p-4", "0x1.a19c4fc4af03bp-6",
+        "0x1.a506fd27f5d87p-8", "0x1.963c422edceffp-13", "0x1.20c8885e27a41p-19",
+        "0x1.2e205ce4450f5p-27", "0x1.076e279e585f3p-47", "0x1.0d3e49c709f6ep-73",
+        "0x1.4292572a2ca8cp-105", "0x1.df25d0062a701p-164", "0x1.96e4f69aa3d66p-290",
+        "0x1.49c53e856efd2p-452", "0x1.fe23ecaa2fb22p-651", "0x1.78940dfc23a62p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.3f60522dc443bp+8", "0x1.06f7c1c35881dp+1",
+    ),
+    (1.5, 1.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e65p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651966p-1", "0x1.b8bb1c1efb1c2p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb42p-2",
+        "0x1.8c36fba622c58p-3", "0x1.442beb3e08377p-4", "0x1.a19c4fc4af046p-6",
+        "0x1.a506fd27f5d87p-8", "0x1.963c422edcf00p-13", "0x1.20c8885e27a5cp-19",
+        "0x1.2e205ce4450f5p-27", "0x1.076e279e585f3p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2ca8cp-105", "0x1.df25d0062a7f2p-164", "0x1.96e4f69aa3fc9p-290",
+        "0x1.49c53e856efd2p-452", "0x1.fe23ecaa2ff20p-651", "0x1.78940dfc23a62p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.b07f7adf71659p+7", "0x1.a76e2a76b7790p+0",
+    ),
+    (3.0, 1.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e65p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651966p-1", "0x1.b8bb1c1efb1c1p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb40p-2",
+        "0x1.8c36fba622c57p-3", "0x1.442beb3e08375p-4", "0x1.a19c4fc4af043p-6",
+        "0x1.a506fd27f5d86p-8", "0x1.963c422edceffp-13", "0x1.20c8885e27a5bp-19",
+        "0x1.2e205ce4450f4p-27", "0x1.076e279e585f2p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2ca8bp-105", "0x1.df25d0062a6ffp-164", "0x1.96e4f69aa3fc8p-290",
+        "0x1.49c53e856efd1p-452", "0x1.fe23ecaa2fb21p-651", "0x1.78940dfc23a61p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.ed1fa1511a901p+6", "0x1.3542b8b7c49dfp+0",
+    ),
+    (6.5, 1.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e65p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651966p-1", "0x1.b8bb1c1efb1c1p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb40p-2",
+        "0x1.8c36fba622c54p-3", "0x1.442beb3e08375p-4", "0x1.a19c4fc4af043p-6",
+        "0x1.a506fd27f5d79p-8", "0x1.963c422edceffp-13", "0x1.20c8885e27a5bp-19",
+        "0x1.2e205ce4450cep-27", "0x1.076e279e585f2p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2c9e9p-105", "0x1.df25d0062a6ffp-164", "0x1.96e4f69aa3fc8p-290",
+        "0x1.49c53e856efd1p-452", "0x1.fe23ecaa2fb21p-651", "0x1.78940dfc23a61p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.da3be777c7221p+5", "0x1.99417bae18cb9p-1",
+    ),
+    (30.0, 1.0): (
+        "0x1.fffffffffffe4p-1", "0x1.ffffff0992812p-1", "0x1.fffe9cd6c5e64p-1",
+        "0x1.ff7bef11e5e66p-1", "0x1.fcea2711a5c4cp-1", "0x1.f27e571392a32p-1",
+        "0x1.d413d21651967p-1", "0x1.b8bb1c1efb1c2p-1", "0x1.93cd3a2c8198ep-1",
+        "0x1.65c71620d19fap-1", "0x1.30caa6aa1c0f0p-1", "0x1.819912c4edb41p-2",
+        "0x1.8c36fba622c58p-3", "0x1.442beb3e08376p-4", "0x1.a19c4fc4af046p-6",
+        "0x1.a506fd27f5d8dp-8", "0x1.963c422edceffp-13", "0x1.20c8885e27a5cp-19",
+        "0x1.2e205ce445108p-27", "0x1.076e279e585f3p-47", "0x1.0d3e49c709fd3p-73",
+        "0x1.4292572a2caddp-105", "0x1.df25d0062a701p-164", "0x1.96e4f69aa3fc9p-290",
+        "0x1.49c53e856efd2p-452", "0x1.fe23ecaa2fb22p-651", "0x1.78940dfc23a62p-885",
+        "0x0.00000bf90f285p-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.9f9b82d477205p+3", "0x1.55d998a70d382p-2",
+    ),
+}
+
+
+class TestForwardBits:
+    @pytest.mark.parametrize("gamma,nu", sorted(FORWARD_BITS))
+    def test_exact_bits(self, gamma, nu):
+        m = model_moments(nu=nu, gamma=gamma)
+        u = np.array(FORWARD_HEIGHTS, dtype=float) * math.sqrt(m.sigma2)
+        got = peak_height_right_cdf(m, u).tolist()
+        got += [expected_num_maxima(m, 2000.0), bonferroni_approx_threshold(m, 2000.0, 0.05)]
+        assert got == [float.fromhex(h) for h in FORWARD_BITS[gamma, nu]]
 
 
 class TestExpectedNumMaxima:
